@@ -62,7 +62,7 @@ from .lie import (
     vector_field_operator,
 )
 from .monomial import Monomial
-from .orders import DEFAULT_ORDER, TermOrder, order_from_name
+from .orders import DEFAULT_ORDER, TermOrder
 from .parser import ParseError, parse_expression, parse_polynomial
 from .poly import Poly
 from .report import render_json, render_markdown, strip_timing
@@ -124,7 +124,6 @@ __all__ = [
     "load_scenario",
     "module_multiply_ideal",
     "multiplicity",
-    "order_from_name",
     "ParseError",
     "parse_expression",
     "parse_matrix_expr",

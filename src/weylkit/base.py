@@ -12,7 +12,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .monomial import Monomial, unit_monomial
-from .orders import DEFAULT_ORDER, TermOrder
+from .orders import DEFAULT_ORDER
 
 Scalar = int | Fraction
 
@@ -194,18 +194,18 @@ class SparseElement:
 
     # -- leading data ----------------------------------------------------------
 
-    def leading_monomial(self, order: TermOrder = DEFAULT_ORDER) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self._terms:
             raise ValueError("zero element has no leading monomial")
-        return max(self._terms, key=order.key)
+        return max(self._terms, key=DEFAULT_ORDER.key)
 
-    def leading_coefficient(self, order: TermOrder = DEFAULT_ORDER) -> Fraction:
-        return self._terms[self.leading_monomial(order)]
+    def leading_coefficient(self) -> Fraction:
+        return self._terms[self.leading_monomial()]
 
-    def monic(self, order: TermOrder = DEFAULT_ORDER):
+    def monic(self):
         if not self._terms:
             raise ValueError("cannot normalize the zero element")
-        return self.scaled(1 / self.leading_coefficient(order))
+        return self.scaled(1 / self.leading_coefficient())
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -218,8 +218,8 @@ class SparseElement:
             out |= mono.index_support()
         return frozenset(out)
 
-    def sorted_terms(self, order: TermOrder = DEFAULT_ORDER) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+        return sorted(self._terms.items(), key=lambda kv: DEFAULT_ORDER.key(kv[0]), reverse=True)
 
 
 def format_terms(element: SparseElement, dlabel: str) -> str:

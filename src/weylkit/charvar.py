@@ -2,7 +2,7 @@
 
 Everything is measured through the total-degree filtration on the operator
 ring.  The graded ideal of a left ideal is generated by the principal symbols
-of a Groebner basis computed for a degree-compatible order; dimension and
+of a Groebner basis under the degree-compatible term order; dimension and
 multiplicity then come from the commutative leading-term ideal.
 """
 
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .groebner import GroebnerBasis, LeftIdeal
-from .monomial import Monomial
 from .poly import Poly, poly_z, poly_zeta
-from .weyl import WeylElement, principal_symbol
+from .weyl import principal_symbol
 
 
 def _require_operator(ideal: LeftIdeal) -> None:
@@ -34,19 +33,17 @@ class ImproperIdealError(ValueError):
 def graded_ideal(ideal: LeftIdeal) -> LeftIdeal:
     """Commutative ideal of principal symbols of ``ideal``.
 
-    The symbols of a reduced Groebner basis for a degree-compatible order
-    generate the full graded ideal, and they are themselves a reduced basis,
-    so the returned ideal is ready for dimension counting.
+    The symbols of a reduced Groebner basis for the degree-compatible term
+    order generate the full graded ideal, and they are themselves a reduced
+    basis, so the returned ideal is ready for dimension counting.
     """
     _require_operator(ideal)
-    if not ideal.order.degree_compatible:
-        raise ValueError("graded ideal needs a degree-compatible order")
     if ideal.is_unit():
         raise ImproperIdealError("improper ideal: 1 is a member")
     basis = ideal.groebner_basis()
     if not basis.elements:
-        return LeftIdeal([Poly.zero(ideal.ambient)], ideal.order)
-    return LeftIdeal([principal_symbol(g) for g in basis.elements], ideal.order)
+        return LeftIdeal([Poly.zero(ideal.ambient)])
+    return LeftIdeal([principal_symbol(g) for g in basis.elements])
 
 
 def _slot_name(slot: int, m: int) -> str:

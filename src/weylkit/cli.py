@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .charvar import ImproperIdealError, graded_ideal, krull_dimension, multiplicity, simplicity_certificate
+from .charvar import graded_ideal, krull_dimension, multiplicity, simplicity_certificate
 from .deltamod import DeltaModule, certify_annihilator, section_from_operator
 from .groebner import LeftIdeal, PairLimitExceeded
 from .parser import parse_expression
@@ -266,10 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ImproperIdealError, PairLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, PairLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import perm
 from typing import Sequence
 
-from .base import Scalar, as_fraction, format_terms
+from .base import Scalar, format_terms
 from .charvar import HolonomicityCertificate, simplicity_certificate
 from .groebner import LeftIdeal
 from .monomial import Monomial
@@ -151,37 +151,14 @@ def section_from_operator(module: DeltaModule, op: WeylElement) -> DeltaSection:
 
 
 def act_on_polynomial(op: WeylElement, polynomial: Poly) -> Poly:
-    """Standard action on polynomials in z: d differentiates, z multiplies."""
-    m = polynomial.ambient
-    if op.ambient != m:
-        raise ValueError("operator and polynomial ambient mismatch")
-    if any(any(mono.dexp) for mono in polynomial.terms):
-        raise ValueError("polynomial action target must not contain symbols")
-    out: dict[Monomial, Fraction] = {}
-    for omono, ocoeff in op:
-        for pmono, pcoeff in polynomial:
-            coeff = ocoeff * pcoeff
-            exps = list(pmono.zexp)
-            dead = False
-            for slot in range(m):
-                b = omono.dexp[slot]
-                if b:
-                    fall = perm(exps[slot], b)
-                    if fall == 0:
-                        dead = True
-                        break
-                    coeff *= fall
-                    exps[slot] -= b
-                exps[slot] += omono.zexp[slot]
-            if dead:
-                continue
-            mono = Monomial(tuple(exps), pmono.dexp)
-            acc = out.get(mono, Fraction(0)) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-    return Poly(m, out)
+    """Standard action on polynomials in z: d differentiates, z multiplies.
+
+    This is ``act`` on the delta module with empty support, whose sections
+    are exactly the polynomials in z; a target carrying symbols, or of the
+    wrong ambient, is rejected there.
+    """
+    module = DeltaModule(polynomial.ambient, frozenset())
+    return act(op, DeltaSection(module, polynomial)).data
 
 
 def delta_to_polynomial(section: DeltaSection) -> Poly:

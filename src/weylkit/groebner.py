@@ -1,27 +1,26 @@
 """Left Groebner bases for ideals of operators or commutative polynomials.
 
-Division and Buchberger run identically in both rings because leading
-monomials stay multiplicative: every noncommutative correction term is a
-proper divisor of the commutative product, hence strictly smaller under any
-monomial order.  The only place the two modes differ is the pair-skipping
-criterion, which is unsound in the operator ring unless the two generators
-actually commute (disjoint variable support); the coprime-leading-monomial
-shortcut alone fails already for the pair (d1, z1).
+Everything runs under the one degrevlex term order of ``orders``.  Division
+and Buchberger run identically in both rings because leading monomials stay
+multiplicative: every noncommutative correction term is a proper divisor of
+the commutative product, hence strictly smaller under the term order.  The
+only place the two modes differ is the pair-skipping criterion, which is
+unsound in the operator ring unless the two generators actually commute
+(disjoint variable support); the coprime-leading-monomial shortcut alone
+fails already for the pair (d1, z1).
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Sequence
 
 from .base import SparseElement
 from .monomial import Monomial
-from .orders import DEFAULT_ORDER, TermOrder
+from .orders import DEFAULT_ORDER
 from .poly import Poly
-from .weyl import WeylElement
 
 PAIR_LIMIT_ENV = "WEYLKIT_GB_MAX_PAIRS"
 
@@ -46,7 +45,6 @@ def _pair_limit() -> int | None:
 def reduce_element(
     element: SparseElement,
     basis: Sequence[SparseElement],
-    order: TermOrder = DEFAULT_ORDER,
     track: bool = False,
 ):
     """Left division of ``element`` by ``basis``.
@@ -64,13 +62,13 @@ def reduce_element(
             raise ValueError("ambient mismatch in division")
         if g.is_zero():
             raise ValueError("zero divisor in basis")
-    leading = [(g.leading_monomial(order), g.leading_coefficient(order)) for g in basis]
+    leading = [(g.leading_monomial(), g.leading_coefficient()) for g in basis]
 
     work = element
     remainder = kind.zero(element.ambient)
     cofactors = [kind.zero(element.ambient) for _ in basis] if track else None
     while not work.is_zero():
-        mono = work.leading_monomial(order)
+        mono = work.leading_monomial()
         coeff = work.terms[mono]
         for i, (lm, lc) in enumerate(leading):
             if lm.divides(mono):
@@ -88,21 +86,19 @@ def reduce_element(
     return remainder
 
 
-def s_polynomial(
-    f: SparseElement, g: SparseElement, order: TermOrder = DEFAULT_ORDER
-) -> SparseElement:
+def s_polynomial(f: SparseElement, g: SparseElement) -> SparseElement:
     kind = type(f)
-    lm_f = f.leading_monomial(order)
-    lm_g = g.leading_monomial(order)
+    lm_f = f.leading_monomial()
+    lm_g = g.leading_monomial()
     lcm = lm_f.lcm(lm_g)
-    left = kind.from_monomial(lcm.quotient(lm_f), 1 / f.leading_coefficient(order))
-    right = kind.from_monomial(lcm.quotient(lm_g), 1 / g.leading_coefficient(order))
+    left = kind.from_monomial(lcm.quotient(lm_f), 1 / f.terms[lm_f])
+    right = kind.from_monomial(lcm.quotient(lm_g), 1 / g.terms[lm_g])
     return left * f - right * g
 
 
-def _may_skip_pair(f: SparseElement, g: SparseElement, order: TermOrder) -> bool:
-    lm_f = f.leading_monomial(order)
-    lm_g = g.leading_monomial(order)
+def _may_skip_pair(f: SparseElement, g: SparseElement) -> bool:
+    lm_f = f.leading_monomial()
+    lm_g = g.leading_monomial()
     if not lm_f.coprime(lm_g):
         return False
     if isinstance(f, Poly):
@@ -114,18 +110,11 @@ def _may_skip_pair(f: SparseElement, g: SparseElement, order: TermOrder) -> bool
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced left Groebner basis, monic, sorted ascending by leading monomial.
-
-    When built with cofactor tracking, ``cofactors[k]`` expresses element k as
-    a left combination of the generators handed to ``buchberger``:
-    ``elements[k] == sum(cofactors[k][i] * generators[i])``.
-    """
+    """Reduced left Groebner basis, monic, sorted ascending by leading monomial."""
 
     elements: tuple[SparseElement, ...]
-    order: TermOrder
     pairs_processed: int
     reductions_to_zero: int
-    cofactors: tuple[tuple[SparseElement, ...], ...] | None = None
 
     @property
     def ambient(self) -> int:
@@ -134,14 +123,14 @@ class GroebnerBasis:
         return self.elements[0].ambient
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial(self.order) for g in self.elements)
+        return tuple(g.leading_monomial() for g in self.elements)
 
     def reduce(self, element: SparseElement, track: bool = False):
         if not self.elements:
             if track:
                 return element, []
             return element
-        return reduce_element(element, self.elements, self.order, track=track)
+        return reduce_element(element, self.elements, track=track)
 
     def contains(self, element: SparseElement) -> bool:
         if element.is_zero():
@@ -151,58 +140,36 @@ class GroebnerBasis:
         return self.reduce(element).is_zero()
 
     def is_unit_ideal(self) -> bool:
-        return any(g.leading_monomial(self.order).is_unit() for g in self.elements)
+        return any(g.leading_monomial().is_unit() for g in self.elements)
 
 
-def buchberger(
-    generators: Sequence[SparseElement],
-    order: TermOrder = DEFAULT_ORDER,
-    max_pairs: int | None = None,
-    track_cofactors: bool = False,
-) -> GroebnerBasis:
+def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     """Reduced left Groebner basis of the left ideal spanned by ``generators``.
 
     Pairs are processed in normal-selection order (lcm degree, then the term
-    order on the lcm, then age).  A pair budget, from ``max_pairs`` or the
-    WEYLKIT_GB_MAX_PAIRS environment variable, aborts runaway computations.
-    With ``track_cofactors`` every basis element carries its expression as a
-    left combination of ``generators`` (a self-check hook; off by default).
+    order on the lcm, then age).  A pair budget from the WEYLKIT_GB_MAX_PAIRS
+    environment variable aborts runaway computations.
     """
-    if max_pairs is None:
-        max_pairs = _pair_limit()
-    indexed = [(i, g) for i, g in enumerate(generators) if not g.is_zero()]
-    if not indexed:
-        return GroebnerBasis((), order, 0, 0, () if track_cofactors else None)
-    kind = type(indexed[0][1])
-    ambient = indexed[0][1].ambient
-    for _, g in indexed:
+    limit = _pair_limit()
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return GroebnerBasis((), 0, 0)
+    kind = type(gens[0])
+    ambient = gens[0].ambient
+    for g in gens:
         if type(g) is not kind:
             raise TypeError("mixed element types in generators")
         if g.ambient != ambient:
             raise ValueError("ambient mismatch in generators")
 
-    zero = kind.zero(ambient)
-    ngens = len(generators)
-
-    def unit_row(source: int, scale: Fraction) -> list[SparseElement]:
-        row = [zero] * ngens
-        row[source] = kind.constant(scale, ambient)
-        return row
-
-    basis: list[SparseElement] = []
-    rows: list[list[SparseElement]] = []
-    for source, g in indexed:
-        basis.append(g.monic(order))
-        if track_cofactors:
-            rows.append(unit_row(source, 1 / g.leading_coefficient(order)))
-
+    basis = [g.monic() for g in gens]
     queue: list[tuple[int, tuple, int, int]] = []
 
     def push_pairs(j: int) -> None:
-        lm_j = basis[j].leading_monomial(order)
+        lm_j = basis[j].leading_monomial()
         for i in range(j):
-            lcm = basis[i].leading_monomial(order).lcm(lm_j)
-            heapq.heappush(queue, (lcm.total_degree(), order.key(lcm), i, j))
+            lcm = basis[i].leading_monomial().lcm(lm_j)
+            heapq.heappush(queue, (lcm.total_degree(), DEFAULT_ORDER.key(lcm), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
@@ -212,56 +179,33 @@ def buchberger(
     while queue:
         _, _, i, j = heapq.heappop(queue)
         processed += 1
-        if max_pairs is not None and processed > max_pairs:
+        if limit is not None and processed > limit:
             raise PairLimitExceeded(
-                f"Groebner pair budget of {max_pairs} exhausted "
+                f"Groebner pair budget of {limit} exhausted "
                 f"(set {PAIR_LIMIT_ENV} to raise it)"
             )
-        if _may_skip_pair(basis[i], basis[j], order):
+        if _may_skip_pair(basis[i], basis[j]):
             continue
-        lm_i = basis[i].leading_monomial(order)
-        lm_j = basis[j].leading_monomial(order)
-        lcm = lm_i.lcm(lm_j)
-        left = kind.from_monomial(lcm.quotient(lm_i), 1)
-        right = kind.from_monomial(lcm.quotient(lm_j), 1)
-        spoly = left * basis[i] - right * basis[j]
-        remainder, cofs = reduce_element(spoly, basis, order, track=True)
+        remainder = reduce_element(s_polynomial(basis[i], basis[j]), basis)
         if remainder.is_zero():
             zero_reductions += 1
             continue
-        scale = 1 / remainder.leading_coefficient(order)
-        basis.append(remainder.scaled(scale))
-        if track_cofactors:
-            row = [
-                (left * a - right * b - sum((c * r for c, r in zip(cofs, col)), zero)).scaled(scale)
-                for a, b, col in zip(rows[i], rows[j], zip(*rows))
-            ]
-            rows.append(row)
+        basis.append(remainder.monic())
         push_pairs(len(basis) - 1)
 
-    reduced, reduced_rows = _interreduce(basis, rows if track_cofactors else None, order)
-    return GroebnerBasis(
-        tuple(reduced),
-        order,
-        processed,
-        zero_reductions,
-        tuple(tuple(row) for row in reduced_rows) if track_cofactors else None,
-    )
+    return GroebnerBasis(tuple(_interreduce(basis)), processed, zero_reductions)
 
 
-def _interreduce(basis, rows, order):
-    zero_row: list = []
-    if rows is None:
-        rows = [zero_row] * len(basis)
+def _interreduce(basis: list[SparseElement]) -> list[SparseElement]:
+    def lead_key(g: SparseElement):
+        return DEFAULT_ORDER.key(g.leading_monomial())
+
     # Minimal first: drop anything whose leading monomial another one divides.
-    pairs = sorted(zip(basis, rows), key=lambda p: order.key(p[0].leading_monomial(order)))
     minimal: list[SparseElement] = []
-    kept_rows: list[list[SparseElement]] = []
-    for g, row in pairs:
-        lm = g.leading_monomial(order)
-        if not any(h.leading_monomial(order).divides(lm) for h in minimal):
+    for g in sorted(basis, key=lead_key):
+        lm = g.leading_monomial()
+        if not any(h.leading_monomial().divides(lm) for h in minimal):
             minimal.append(g)
-            kept_rows.append(row)
     # Then tail-reduce each against the rest until nothing moves.
     changed = True
     while changed:
@@ -270,30 +214,20 @@ def _interreduce(basis, rows, order):
             others = minimal[:i] + minimal[i + 1 :]
             if not others:
                 continue
-            replacement, cofs = reduce_element(minimal[i], others, order, track=True)
+            replacement = reduce_element(minimal[i], others)
             if replacement.is_zero():
                 raise AssertionError("minimal basis element reduced to zero")
-            scale = 1 / replacement.leading_coefficient(order)
-            replacement = replacement.scaled(scale)
+            replacement = replacement.monic()
             if replacement != minimal[i]:
-                if kept_rows[i]:
-                    other_rows = kept_rows[:i] + kept_rows[i + 1 :]
-                    kept_rows[i] = [
-                        (mine - sum((c * r for c, r in zip(cofs, col)), minimal[0].zero(minimal[0].ambient))).scaled(scale)
-                        for mine, col in zip(kept_rows[i], zip(*other_rows))
-                    ]
                 minimal[i] = replacement
                 changed = True
-    order_keys = sorted(
-        range(len(minimal)), key=lambda k: order.key(minimal[k].leading_monomial(order))
-    )
-    return [minimal[k] for k in order_keys], [kept_rows[k] for k in order_keys]
+    return sorted(minimal, key=lead_key)
 
 
 class LeftIdeal:
     """Left ideal with a lazily computed reduced Groebner basis."""
 
-    def __init__(self, generators: Sequence[SparseElement], order: TermOrder = DEFAULT_ORDER):
+    def __init__(self, generators: Sequence[SparseElement]):
         gens = tuple(generators)
         if not gens:
             raise ValueError("an ideal needs at least one generator (use 0 for the zero ideal)")
@@ -305,7 +239,6 @@ class LeftIdeal:
             if g.ambient != ambient:
                 raise ValueError("ambient mismatch in generators")
         self._generators = gens
-        self._order = order
         self._ambient = ambient
         self._kind = kind
         self._basis: GroebnerBasis | None = None
@@ -313,10 +246,6 @@ class LeftIdeal:
     @property
     def generators(self) -> tuple[SparseElement, ...]:
         return self._generators
-
-    @property
-    def order(self) -> TermOrder:
-        return self._order
 
     @property
     def ambient(self) -> int:
@@ -328,7 +257,7 @@ class LeftIdeal:
 
     def groebner_basis(self) -> GroebnerBasis:
         if self._basis is None:
-            self._basis = buchberger(self._generators, self._order)
+            self._basis = buchberger(self._generators)
         return self._basis
 
     def reduce(self, element: SparseElement, track: bool = False):
@@ -368,6 +297,3 @@ def module_multiply_ideal(ideal: LeftIdeal, factor: SparseElement) -> list[Spars
         raise ValueError("ambient mismatch in module product")
     return [g * factor for g in ideal.generators]
 
-
-# Convenience alias matching the CLI verb.
-reduce = reduce_element

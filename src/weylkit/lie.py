@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .base import Scalar, as_fraction
-from .linalg import Matrix, Vector, in_span, mat_mul, mat_sub, matrix, rank, rref, solve, invert
+from .linalg import Matrix, Vector, in_span, mat_mul, mat_sub, matrix, rank, solve, invert
 from .parser import ParseError
 from .poly import Poly
 from .weyl import WeylElement, d, z

@@ -22,16 +22,8 @@ def matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
     return out
 
 
-def vector(values: Sequence[Scalar]) -> Vector:
-    return [as_fraction(v) for v in values]
-
-
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -45,15 +37,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c: Scalar) -> Matrix:
-    f = as_fraction(c)
-    return [[x * f for x in row] for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -91,23 +74,6 @@ def in_span(rows: Matrix, candidate: Vector) -> bool:
     if len(candidate) != len(rows[0]):
         raise ValueError("length mismatch")
     return rank(rows) == rank(rows + [list(candidate)])
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel."""
-    if not a:
-        return []
-    reduced, pivots = rref(a)
-    cols = len(a[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(v)
-    return basis
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:

@@ -1,9 +1,9 @@
-"""Monomial term orders.
+"""The monomial term order: degree reverse lexicographic on the slot vector.
 
-Orders act on the 2m slot vector (z block then companion block), optionally
-re-read through a permutation of the slots.  All three classical orders are
-total, multiplicative and have the unit monomial smallest, which is what the
-division and Buchberger routines rely on.
+The order reads the 2m slot vector (z block then companion block).  It is
+total, multiplicative, has the unit monomial smallest and refines total
+degree, which is what division, Buchberger and the Bernstein-filtration
+graded ideal rely on.
 """
 
 from __future__ import annotations
@@ -12,53 +12,19 @@ from dataclasses import dataclass
 
 from .monomial import Monomial
 
-_KINDS = ("degrevlex", "deglex", "lex")
-
 
 @dataclass(frozen=True)
 class TermOrder:
-    """A term order: 'degrevlex', 'deglex' or 'lex', plus a slot permutation.
-
-    ``perm`` lists, for each comparison position, which slot of the 2m
-    exponent vector is read there.  None means the identity.
-    """
-
-    kind: str = "degrevlex"
-    perm: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown term order {self.kind!r}; expected one of {_KINDS}")
-        if self.perm is not None and sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("perm must be a permutation of 0..2m-1")
-
-    @property
-    def degree_compatible(self) -> bool:
-        return self.kind != "lex"
-
-    def _sequence(self, mono: Monomial) -> tuple[int, ...]:
-        slots = mono.slots()
-        if self.perm is None:
-            return slots
-        if len(self.perm) != len(slots):
-            raise ValueError("perm length does not match 2 * ambient")
-        return tuple(slots[p] for p in self.perm)
+    """Degree reverse lexicographic order on the 2m exponent slots."""
 
     def key(self, mono: Monomial):
-        """Sort key; larger key means larger monomial."""
-        seq = self._sequence(mono)
-        if self.kind == "lex":
-            return seq
-        deg = sum(seq)
-        if self.kind == "deglex":
-            return (deg, seq)
-        # degrevlex: on equal degree the last differing slot decides,
-        # smaller exponent there wins.
-        return (deg, tuple(-e for e in reversed(seq)))
+        """Sort key; larger key means larger monomial.
+
+        On equal degree the last differing slot decides, smaller exponent
+        there wins.
+        """
+        slots = mono.slots()
+        return (sum(slots), tuple(-e for e in reversed(slots)))
 
 
 DEFAULT_ORDER = TermOrder()
-
-
-def order_from_name(name: str, perm: tuple[int, ...] | None = None) -> TermOrder:
-    return TermOrder(name, perm)

@@ -4,8 +4,8 @@ A scenario is a JSON document naming an ambient coordinate count, a family of
 ideals, delta-module sections, matrix subalgebras with characters, orbit
 charts, and a list of checks.  Expression fields use the operator grammar
 verbatim; occurrences of ``{...}`` inside them are integer templates filled
-in from the active parameter scope (for example a sweep variable l), so one
-ideal definition covers a whole parameter family.
+in from the active parameter scope (for example a ``foreach`` parameter l),
+so one ideal definition covers a whole parameter family.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import product
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .deltamod import DeltaModule, DeltaSection, delta, section_from_operator
+from .deltamod import DeltaModule, DeltaSection, section_from_operator
 from .groebner import LeftIdeal
 from .lie import (
     Character,
@@ -129,14 +129,16 @@ def eval_int_expr(text: str, scope: Mapping[str, int] | None = None) -> int:
 _TEMPLATE = re.compile(r"\{([^{}]*)\}")
 
 
+def _int_vars(text: str) -> set[str]:
+    """Scope variables referenced by an integer expression."""
+    return {
+        tok for tok in _int_tokens(text) if tok != "max" and (tok[0].isalpha() or tok[0] == "_")
+    }
+
+
 def template_vars(text: str) -> frozenset[str]:
     """Scope variables referenced by ``{...}`` groups of a template string."""
-    names: set[str] = set()
-    for group in _TEMPLATE.findall(text):
-        for tok in _int_tokens(group):
-            if tok != "max" and (tok[0].isalpha() or tok[0] == "_"):
-                names.add(tok)
-    return frozenset(names)
+    return frozenset().union(*map(_int_vars, _TEMPLATE.findall(text)))
 
 
 def substitute(text: str, scope: Mapping[str, int] | None = None) -> str:
@@ -154,8 +156,7 @@ def _scope_key(scope: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
 # -- Schema ------------------------------------------------------------------
 
 # Fields each check kind resolves, by reference type; used both by the runner
-# dispatch and by load-time name validation.  A trailing "?" marks the field
-# optional.
+# dispatch and by load-time name validation.
 CHECK_SCHEMAS: dict[str, dict[str, str]] = {
     "annihilates": {"ideal": "ideal", "section": "section"},
     "sections_agree": {"sections": "section_list"},
@@ -223,9 +224,6 @@ class Scenario:
         self._validate_shape()
         self.name: str = raw["name"]
         self.ambient: int = raw["ambient"]
-        self.sweep: dict[str, list[int]] = {
-            key: list(values) for key, values in raw.get("sweep", {}).items()
-        }
         support = raw.get("delta_module", [])
         self.delta_module = DeltaModule(self.ambient, frozenset(support))
         self.checks: list[CheckSpec] = [self._check_spec(c) for c in raw.get("checks", [])]
@@ -248,13 +246,6 @@ class Scenario:
         ambient = raw.get("ambient")
         if not isinstance(ambient, int) or ambient < 1:
             raise ScenarioError(f"{name}: ambient must be a positive integer")
-        for key, values in raw.get("sweep", {}).items():
-            if not isinstance(values, list) or not values:
-                raise ScenarioError(f"{name}: sweep {key!r} must be a non-empty list")
-            if not all(isinstance(v, int) and v >= 0 for v in values):
-                raise ScenarioError(
-                    f"{name}: invalid sweep: {key!r} values must be non-negative integers"
-                )
         support = raw.get("delta_module", [])
         if not isinstance(support, list) or not all(
             isinstance(i, int) and 1 <= i <= ambient for i in support
@@ -305,11 +296,7 @@ class Scenario:
             raise ScenarioError(f"{self.name}: duplicate check ids {dup}")
         for check in self.checks:
             for field, ftype in CHECK_SCHEMAS[check.kind].items():
-                optional = ftype.endswith("?")
-                ftype = ftype.rstrip("?")
                 if field not in check.params:
-                    if optional:
-                        continue
                     raise ScenarioError(
                         f"{self.name}: check {check.id!r} is missing field {field!r}"
                     )
@@ -365,10 +352,8 @@ class Scenario:
             return [{}]
         pools: dict[str, list[int]] = {}
         for name in sorted(names):
-            values = list(self.sweep.get(name, []))
-            for check in self.checks:
-                values.extend(check.foreach.get(name, ()))
-            pools[name] = sorted(set(values)) or [0, 1]
+            values = {v for check in self.checks for v in check.foreach.get(name, ())}
+            pools[name] = sorted(values) or [0, 1]
         keys = sorted(pools)
         return [dict(zip(keys, combo)) for combo in product(*(pools[k] for k in keys))]
 
@@ -404,10 +389,20 @@ class Scenario:
         if not isinstance(text, str):
             raise ScenarioError(f"{self.name}: {label}: expression must be a string")
         for scope in self._sample_scopes(template_vars(text)):
-            try:
-                parse(substitute(text, scope), self.ambient)
-            except ValueError as exc:
-                raise ScenarioError(f"{self.name}: {label}: {exc}") from exc
+            self._parse(label, text, scope, parse)
+
+    def _parse(self, label: str, text: str, scope: Mapping[str, int], parse):
+        """Instantiate a template under ``scope`` and parse it.
+
+        Failures name the scenario, the object and the binding, for example
+        ``paper-n2: ideal 'I1l' (l=-1): ...``.
+        """
+        try:
+            return parse(substitute(text, scope), self.ambient)
+        except ValueError as exc:
+            binding = ", ".join(f"{k}={v}" for k, v in sorted(scope.items()))
+            where = f"{label} ({binding})" if binding else label
+            raise ScenarioError(f"{self.name}: {where}: {exc}") from exc
 
     # -- resolution --
 
@@ -430,14 +425,15 @@ class Scenario:
             return ref["name"], bound
         raise ScenarioError(f"{self.name}: malformed reference {ref!r}")
 
-    def _scoped(self, texts: Sequence[str], scope: Mapping[str, int]) -> tuple[tuple, dict]:
-        used: set[str] = set()
-        for text in texts:
-            used |= template_vars(text)
+    def _scoped(
+        self, label: str, texts: Sequence[str], scope: Mapping[str, int], scan=template_vars
+    ) -> tuple[tuple, dict]:
+        """Restrict ``scope`` to the variables ``texts`` use; all must be bound."""
+        used: set[str] = set().union(*map(scan, texts))
         missing = sorted(used - set(scope))
         if missing:
             raise ScenarioError(
-                f"{self.name}: template needs parameter(s) {missing} (pass e.g. --l)"
+                f"{self.name}: {label} needs parameter(s) {missing} (pass e.g. --l)"
             )
         effective = {k: scope[k] for k in used}
         return _scope_key(effective), effective
@@ -446,12 +442,12 @@ class Scenario:
         name, bound = self._split_ref(ref, scope or {})
         spec = self._named("ideals", name)
         generators = spec["generators"]
-        key_scope, effective = self._scoped(generators, bound)
+        label = f"ideal {name!r}"
+        key_scope, effective = self._scoped(label, generators, bound)
         key = (name, key_scope)
         if key not in self._ideals:
             elements = [
-                parse_expression(substitute(text, effective), self.ambient)
-                for text in generators
+                self._parse(label, text, effective, parse_expression) for text in generators
             ]
             self._ideals[key] = LeftIdeal(elements)
         return self._ideals[key]
@@ -459,20 +455,22 @@ class Scenario:
     def section(self, ref: Any, scope: Mapping[str, int] | None = None) -> DeltaSection:
         name, bound = self._split_ref(ref, scope or {})
         text = self._named("sections", name)
-        key_scope, effective = self._scoped([text], bound)
+        label = f"section {name!r}"
+        key_scope, effective = self._scoped(label, [text], bound)
         key = (name, key_scope)
         if key not in self._sections:
-            operator = parse_expression(substitute(text, effective), self.ambient)
+            operator = self._parse(label, text, effective, parse_expression)
             self._sections[key] = section_from_operator(self.delta_module, operator)
         return self._sections[key]
 
     def polynomial(self, ref: Any, scope: Mapping[str, int] | None = None) -> Poly:
         name, bound = self._split_ref(ref, scope or {})
         text = self._named("polynomials", name)
-        key_scope, effective = self._scoped([text], bound)
+        label = f"polynomial {name!r}"
+        key_scope, effective = self._scoped(label, [text], bound)
         key = (name, key_scope)
         if key not in self._polynomials:
-            self._polynomials[key] = parse_polynomial(substitute(text, effective), self.ambient)
+            self._polynomials[key] = self._parse(label, text, effective, parse_polynomial)
         return self._polynomials[key]
 
     def matrix(self, name: str) -> list[list[Fraction]]:
@@ -495,19 +493,8 @@ class Scenario:
         name, bound = self._split_ref(ref, scope or {})
         spec = self._named("characters", name)
         texts = [str(v) for v in spec["values"]]
-        used: set[str] = set()
-        for text in texts:
-            for tok in _int_tokens(text):
-                if not tok.isdigit() and tok not in "+-*(),":
-                    if tok != "max":
-                        used.add(tok)
-        missing = sorted(used - set(bound))
-        if missing:
-            raise ScenarioError(
-                f"{self.name}: character {name!r} needs parameter(s) {missing}"
-            )
-        effective = {k: bound[k] for k in used}
-        key = (name, _scope_key(effective))
+        key_scope, effective = self._scoped(f"character {name!r}", texts, bound, _int_vars)
+        key = (name, key_scope)
         if key not in self._characters:
             algebra = self.algebra(spec["algebra"])
             values = [eval_int_expr(text, effective) for text in texts]
@@ -517,15 +504,12 @@ class Scenario:
     def chart(self, ref: Any, scope: Mapping[str, int] | None = None) -> Chart:
         name, bound = self._split_ref(ref, scope or {})
         spec = self._named("charts", name)
-        equations = [
-            parse_polynomial(substitute(text, bound), self.ambient)
-            for text in spec.get("equations", [])
-        ]
-        inequations = [
-            parse_polynomial(substitute(text, bound), self.ambient)
-            for text in spec.get("inequations", [])
-        ]
-        return Chart(tuple(equations), tuple(inequations), spec.get("expected_dimension"))
+        label = f"chart {name!r}"
+        equations, inequations = (
+            tuple(self._parse(label, t, bound, parse_polynomial) for t in spec.get(field, []))
+            for field in ("equations", "inequations")
+        )
+        return Chart(equations, inequations, spec.get("expected_dimension"))
 
     def point(self, ref: Any, scope: Mapping[str, int] | None = None) -> list[Fraction]:
         name, bound = self._split_ref(ref, scope or {})
@@ -535,7 +519,7 @@ class Scenario:
         return [Fraction(eval_int_expr(str(c), bound)) for c in coords]
 
     def expression(self, text: str, scope: Mapping[str, int] | None = None):
-        return parse_expression(substitute(text, scope or {}), self.ambient)
+        return self._parse(f"expression {text!r}", text, scope or {}, parse_expression)
 
 
 def load_scenario(ref: str | Path) -> Scenario:

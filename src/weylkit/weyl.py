@@ -12,10 +12,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .base import Scalar, SparseElement, as_fraction, format_terms
-from .monomial import Monomial, d_monomial, unit_monomial, z_monomial
+from .base import Scalar, SparseElement, format_terms
+from .monomial import Monomial, d_monomial, z_monomial
 from .poly import Poly
 
 

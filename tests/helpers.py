@@ -3,7 +3,9 @@
 The oracles deliberately avoid the engine's closed-form algorithms:
 
 * normal ordering is recomputed by one-swap rewriting on generator words,
-* Hilbert data is recomputed by brute-force counting of standard monomials.
+* Hilbert data is recomputed by brute-force counting of standard monomials,
+* the action on polynomials is recomputed with ``Poly.derivative`` and
+  multiplication.
 
 Property batches live here so the unit suites and the acceptance suite run
 the exact same assertions from the same documented seeds.
@@ -19,8 +21,10 @@ from weylkit import (
     DeltaModule,
     LeftIdeal,
     Monomial,
+    Poly,
     WeylElement,
     act,
+    act_on_polynomial,
     delta,
     partial_fourier,
     reduce_element,
@@ -263,4 +267,40 @@ def check_fourier_involution(seed: str, ambient: int = 3, rounds: int = 40) -> i
             },
         )
         assert twice == antipode
+    return rounds
+
+
+# -- Polynomial action by calculus -------------------------------------------
+
+
+def act_by_calculus(op: WeylElement, polynomial: Poly) -> Poly:
+    """Apply a normally ordered operator term by term: each d_i differentiates
+    in z_i, then the z part multiplies."""
+    m = polynomial.ambient
+    total = Poly.zero(m)
+    for mono, coeff in op:
+        image = polynomial
+        for i, b in enumerate(mono.dexp, start=1):
+            for _ in range(b):
+                image = image.derivative("z", i)
+        total = total + image * Poly.from_monomial(Monomial(mono.zexp, (0,) * m), coeff)
+    return total
+
+
+def check_polynomial_action(seed: str, ambient: int = 3, rounds: int = 40) -> int:
+    """act_on_polynomial agrees with the calculus oracle on random pairs."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        op = random_element(rng, ambient, terms=3, max_exp=3)
+        polynomial = Poly(
+            ambient,
+            [
+                (
+                    Monomial(tuple(rng.randint(0, 4) for _ in range(ambient)), (0,) * ambient),
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                )
+                for _ in range(rng.randint(1, 4))
+            ],
+        )
+        assert act_on_polynomial(op, polynomial) == act_by_calculus(op, polynomial)
     return rounds

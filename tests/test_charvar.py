@@ -11,7 +11,6 @@ import pytest
 from conftest import SEEDS
 from helpers import check_bernstein_inequality, finite_difference, hilbert_by_counting
 from weylkit import (
-    DEFAULT_ORDER,
     HolonomicityCertificate,
     ImproperIdealError,
     LeftIdeal,
@@ -49,7 +48,7 @@ def counted_dimension_and_multiplicity(graded: LeftIdeal, dmax: int) -> tuple[in
     # Only the tail is reliable: the counts agree with the Hilbert polynomial
     # beyond the regularity, so judge stability on the last few entries.
     basis = graded.groebner_basis()
-    leading = [e.leading_monomial(DEFAULT_ORDER).slots() for e in basis.elements]
+    leading = [e.leading_monomial().slots() for e in basis.elements]
     slots = 2 * graded.ambient
     counts = hilbert_by_counting(leading, slots, dmax)
     window = 4

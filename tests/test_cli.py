@@ -182,3 +182,11 @@ def test_exhausted_pair_budget_exits_two(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error:")
     assert "WEYLKIT_GB_MAX_PAIRS" in err
+
+
+def test_template_error_names_scenario_object_and_binding(capsys):
+    code, _, err = run(
+        capsys, "certify", "I1l", "--section", "Tl", "--scenario", "paper-n2", "--l", "-1"
+    )
+    assert code == 2
+    assert err.startswith("error: paper-n2: section 'Tl' (l=-1): expected 'num'")

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import SEEDS
-from helpers import check_module_axioms
+from helpers import check_module_axioms, check_polynomial_action
 from weylkit import (
     DeltaModule,
     LeftIdeal,
@@ -69,6 +69,10 @@ def test_support_euler_acts_as_minus_one():
 
 def test_module_axioms_sample():
     assert check_module_axioms(SEEDS["module"], rounds=15) == 15
+
+
+def test_polynomial_action_matches_calculus_oracle():
+    assert check_polynomial_action(SEEDS["module"]) == 40
 
 
 def test_section_of_zero_operator_is_zero():

@@ -37,7 +37,7 @@ def test_division_identity_with_cofactors():
         for cof, gen in zip(cofactors, basis):
             rebuilt = rebuilt + cof * gen
         assert rebuilt == element
-        lead = [g.leading_monomial(DEFAULT_ORDER) for g in basis]
+        lead = [g.leading_monomial() for g in basis]
         for mono in remainder.terms:
             assert not any(lm.divides(mono) for lm in lead)
 
@@ -46,7 +46,7 @@ def test_s_polynomial_cancels_leading_terms():
     f = parse_expression("z1^2*d2 + z1", ambient=2)
     g = parse_expression("z1*d2^2 + d2", ambient=2)
     s = s_polynomial(f, g)
-    lcm = f.leading_monomial(DEFAULT_ORDER).lcm(g.leading_monomial(DEFAULT_ORDER))
+    lcm = f.leading_monomial().lcm(g.leading_monomial())
     assert all(mono != lcm for mono in s.terms)
 
 
@@ -79,12 +79,12 @@ def test_reduced_basis_is_monic_sorted_and_self_reduced():
     basis = ideal("z2*d1 + z1", "z1*d2 + z2", "z1^2 - z2^2", ambient=2).groebner_basis()
     elements = list(basis.elements)
     for e in elements:
-        assert e.leading_coefficient(DEFAULT_ORDER) == 1
-    keys = [DEFAULT_ORDER.key(e.leading_monomial(DEFAULT_ORDER)) for e in elements]
+        assert e.leading_coefficient() == 1
+    keys = [DEFAULT_ORDER.key(e.leading_monomial()) for e in elements]
     assert keys == sorted(keys)
     for i, e in enumerate(elements):
         others = [
-            g.leading_monomial(DEFAULT_ORDER)
+            g.leading_monomial()
             for j, g in enumerate(elements)
             if j != i
         ]

@@ -1,6 +1,7 @@
 """Scenario files: templating, validation, execution, and report rendering."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -71,7 +72,8 @@ def test_minimal_scenario_runs_empty():
 def test_builtin_scenarios_load(n2_scenario, n3_scenario):
     assert n2_scenario.ambient == 4
     assert n3_scenario.ambient == 6
-    assert set(n2_scenario.sweep) == {"l"}
+    for scenario in (n2_scenario, n3_scenario):
+        assert any("l" in c.foreach for c in scenario.checks)
     assert sorted(n2_scenario.raw["ideals"]) == [
         "I1l",
         "I3",
@@ -145,9 +147,15 @@ def test_invalid_provenance_rejected():
         scenario_with_checks(check(provenance="GUESS"))
 
 
-def test_negative_sweep_rejected():
-    with pytest.raises(ScenarioError, match="non-negative"):
-        scenario_with_checks(check(), sweep={"l": [0, -1]})
+def test_legacy_sweep_key_is_ignored(tmp_path, n2_report):
+    # Scenario files written before "sweep" was dropped still carry the key.
+    raw = json.loads(resources.files("weylkit").joinpath("data", "paper-n2.json").read_text())
+    raw["sweep"] = {"l": [0, 1, 2, 3]}
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    report = run_scenario(load_scenario(str(path)))
+    verdicts = [(c["id"], c["verdict"]) for c in report["checks"]]
+    assert verdicts == [(c["id"], c["verdict"]) for c in n2_report["checks"]]
 
 
 def test_bad_template_reported_at_load_time():
