@@ -1,11 +1,14 @@
 """Shared sparse-element machinery for the operator and symbol rings.
 
-Elements are immutable maps from Monomial to nonzero Fraction.  Subclasses
-supply the ring product through ``_term_product`` and a printing dialect.
+Elements are immutable maps from Monomial to nonzero Fraction, so each one
+computes its leading monomial at most once.  Subclasses supply the ring
+product through ``_term_product`` and a printing dialect.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from numbers import Rational
 from types import MappingProxyType
@@ -15,6 +18,8 @@ from .monomial import Monomial, unit_monomial
 from .orders import DEFAULT_ORDER
 
 Scalar = int | Fraction
+
+_LOG10_2 = math.log10(2)
 
 
 def as_fraction(value) -> Fraction:
@@ -30,7 +35,7 @@ def as_fraction(value) -> Fraction:
 class SparseElement:
     """Base class: a finite Fraction-linear combination of monomials."""
 
-    __slots__ = ("_ambient", "_terms")
+    __slots__ = ("_ambient", "_terms", "_lead")
 
     def __init__(self, ambient: int, terms: Mapping[Monomial, Scalar] | Iterable = ()):
         if ambient < 0:
@@ -55,6 +60,18 @@ class SparseElement:
                         del clean[mono]
         object.__setattr__(self, "_ambient", ambient)
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_lead", None)
+
+    def _make(self, clean: dict[Monomial, Fraction], lead: Monomial | None = None):
+        """Same type and ambient around a dict that arithmetic on validated
+        elements produced: nonzero Fractions on well-formed monomials, so the
+        checks in ``__init__`` are skipped.  ``lead`` is passed on when the
+        support is unchanged."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "_ambient", self._ambient)
+        object.__setattr__(out, "_terms", clean)
+        object.__setattr__(out, "_lead", lead)
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("elements are immutable")
@@ -133,12 +150,12 @@ class SparseElement:
                 out[mono] = acc
             else:
                 out.pop(mono, None)
-        return type(self)(self._ambient, out)
+        return self._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self._ambient, {m: -c for m, c in self._terms.items()})
+        return self._make({m: -c for m, c in self._terms.items()}, self._lead)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -152,7 +169,7 @@ class SparseElement:
         c = as_fraction(value)
         if not c:
             return type(self).zero(self._ambient)
-        return type(self)(self._ambient, {m: k * c for m, k in self._terms.items()})
+        return self._make({m: k * c for m, k in self._terms.items()}, self._lead)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -167,7 +184,7 @@ class SparseElement:
                         out[mono] = acc
                     else:
                         out.pop(mono, None)
-        return type(self)(self._ambient, out)
+        return self._make(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -195,9 +212,11 @@ class SparseElement:
     # -- leading data ----------------------------------------------------------
 
     def leading_monomial(self) -> Monomial:
-        if not self._terms:
-            raise ValueError("zero element has no leading monomial")
-        return max(self._terms, key=DEFAULT_ORDER.key)
+        if self._lead is None:
+            if not self._terms:
+                raise ValueError("zero element has no leading monomial")
+            object.__setattr__(self, "_lead", max(self._terms, key=DEFAULT_ORDER.key))
+        return self._lead
 
     def leading_coefficient(self) -> Fraction:
         return self._terms[self.leading_monomial()]
@@ -222,6 +241,21 @@ class SparseElement:
         return sorted(self._terms.items(), key=lambda kv: DEFAULT_ORDER.key(kv[0]), reverse=True)
 
 
+def _check_printable(coeff: Fraction, term: str) -> None:
+    """Raise a named error where ``str`` would hit the interpreter's limit on
+    integer-to-string conversion (absent before Python 3.10.7; 0 means no
+    limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    big = max(coeff.numerator, coeff.denominator)
+    # b bits make at most floor(b * log10(2)) + 1 decimal digits.
+    if not limit or big.bit_length() * _LOG10_2 < limit or big < 10**limit:
+        return
+    raise ValueError(
+        f"the coefficient of {term} has {int(math.log10(big)) + 1} decimal digits, "
+        f"more than the {limit} this Python prints"
+    )
+
+
 def format_terms(element: SparseElement, dlabel: str) -> str:
     """Render an element in the shared expression grammar, leading term first."""
     if element.is_zero():
@@ -240,6 +274,7 @@ def format_terms(element: SparseElement, dlabel: str) -> str:
             elif e > 1:
                 factors.append(f"{dlabel}{i + 1}^{e}")
         magnitude = abs(coeff)
+        _check_printable(magnitude, "*".join(factors) or "1")
         if not factors:
             body = str(magnitude)
         elif magnitude == 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .base import SparseElement
@@ -53,37 +54,54 @@ def reduce_element(
     ``element == sum(cofactors[i] * basis[i]) + normal_form`` when ``track``
     is set.  Terms are processed from the top down; the first basis element
     whose leading monomial divides wins.
+
+    The live terms sit in a dict and their monomials in a heap that pops the
+    largest first (Monagan-Pearce style).  Every term a division step adds
+    lies strictly below that step's leading monomial, so a heap entry whose
+    term has already cancelled or moved to the remainder is simply skipped.
     """
     kind = type(element)
+    ambient = element.ambient
     for g in basis:
         if type(g) is not kind:
             raise TypeError("mixed element types in division")
-        if g.ambient != element.ambient:
+        if g.ambient != ambient:
             raise ValueError("ambient mismatch in division")
         if g.is_zero():
             raise ValueError("zero divisor in basis")
     leading = [(g.leading_monomial(), g.leading_coefficient()) for g in basis]
 
-    work = element
-    remainder = kind.zero(element.ambient)
-    cofactors = [kind.zero(element.ambient) for _ in basis] if track else None
-    while not work.is_zero():
-        mono = work.leading_monomial()
-        coeff = work.terms[mono]
+    heap_key = DEFAULT_ORDER.heap_key
+    work = dict(element.terms)
+    heap = [(heap_key(mono), mono) for mono in work]
+    heapq.heapify(heap)
+    remainder: dict[Monomial, Fraction] = {}
+    cofactors: list[dict[Monomial, Fraction]] = [{} for _ in basis]
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = work.get(mono)
+        if coeff is None:
+            continue
         for i, (lm, lc) in enumerate(leading):
             if lm.divides(mono):
-                piece = kind.from_monomial(mono.quotient(lm), coeff / lc)
-                work = work - piece * basis[i]
-                if track:
-                    cofactors[i] = cofactors[i] + piece
+                quotient = mono.quotient(lm)
+                factor = coeff / lc
+                for term, c in kind.from_monomial(quotient, factor) * basis[i]:
+                    acc = work.get(term)
+                    if acc is None:
+                        work[term] = -c
+                        heapq.heappush(heap, (heap_key(term), term))
+                    elif acc == c:
+                        del work[term]
+                    else:
+                        work[term] = acc - c
+                cofactors[i][quotient] = factor
                 break
         else:
-            stray = kind.from_monomial(mono, coeff)
-            remainder = remainder + stray
-            work = work - stray
+            remainder[mono] = work.pop(mono)
     if track:
-        return remainder, cofactors
-    return remainder
+        return kind(ambient, remainder), [kind(ambient, cof) for cof in cofactors]
+    return kind(ambient, remainder)
 
 
 def s_polynomial(f: SparseElement, g: SparseElement) -> SparseElement:

@@ -36,9 +36,14 @@ class Monomial(NamedTuple):
         )
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.zexp, other.zexp)) and all(
-            a <= b for a, b in zip(self.dexp, other.dexp)
-        )
+        # Plain loops: division calls this once per basis element per step.
+        for a, b in zip(self.zexp, other.zexp):
+            if a > b:
+                return False
+        for a, b in zip(self.dexp, other.dexp):
+            if a > b:
+                return False
+        return True
 
     def quotient(self, other: "Monomial") -> "Monomial":
         """self / other, assuming other divides self."""

@@ -26,5 +26,11 @@ class TermOrder:
         slots = mono.slots()
         return (sum(slots), tuple(-e for e in reversed(slots)))
 
+    def heap_key(self, mono: Monomial):
+        """Min-heap key: ``key`` negated entry by entry, so it sorts exactly
+        opposite to ``key`` and a heap pops the largest monomial first."""
+        slots = mono.slots()
+        return (-sum(slots), slots[::-1])
+
 
 DEFAULT_ORDER = TermOrder()

@@ -276,6 +276,8 @@ class Scenario:
                 raise ScenarioError(
                     f"{self.name}: check {cid!r} foreach {key!r} must list integers"
                 )
+            for value in values:
+                self._checked(f"check {cid!r} foreach", {key: value})
             foreach[key] = tuple(values)
         params = {k: v for k, v in raw.items() if k not in _CHECK_META}
         return CheckSpec(
@@ -400,9 +402,20 @@ class Scenario:
         try:
             return parse(substitute(text, scope), self.ambient)
         except ValueError as exc:
-            binding = ", ".join(f"{k}={v}" for k, v in sorted(scope.items()))
-            where = f"{label} ({binding})" if binding else label
-            raise ScenarioError(f"{self.name}: {where}: {exc}") from exc
+            raise ScenarioError(f"{self._where(label, scope)}: {exc}") from exc
+
+    def _where(self, label: str, scope: Mapping[str, int]) -> str:
+        binding = ", ".join(f"{k}={v}" for k, v in sorted(scope.items()))
+        return f"{self.name}: {label} ({binding})" if binding else f"{self.name}: {label}"
+
+    def _checked(self, label: str, scope: Mapping[str, int]) -> Mapping[str, int]:
+        """Refuse a negative l: the paper's families are indexed by l = 0, 1, 2, ...
+
+        Other parameters stay signed (paper-n2 binds c = -3).
+        """
+        if scope.get("l", 0) < 0:
+            raise ScenarioError(f"{self._where(label, scope)}: parameter l must be nonnegative")
+        return scope
 
     # -- resolution --
 
@@ -412,18 +425,26 @@ class Scenario:
             raise ScenarioError(f"{self.name}: no {section} entry called {name!r}")
         return table[name]
 
-    def _split_ref(self, ref: Any, scope: Mapping[str, int]) -> tuple[str, dict[str, int]]:
-        """A reference is a name, or an object binding extra scope variables."""
+    def _split_ref(
+        self, kind: str, ref: Any, scope: Mapping[str, int] | None
+    ) -> tuple[str, dict[str, int], str]:
+        """A reference is a name, or an object binding extra scope variables.
+
+        Returns the name, the checked binding and the label ``kind 'name'``.
+        """
+        scope = scope or {}
         if isinstance(ref, str):
-            return ref, dict(scope)
-        if isinstance(ref, dict) and isinstance(ref.get("name"), str):
-            bound = dict(scope)
+            name, bound = ref, dict(scope)
+        elif isinstance(ref, dict) and isinstance(ref.get("name"), str):
+            name, bound = ref["name"], dict(scope)
             for key, value in ref.items():
                 if key == "name":
                     continue
                 bound[key] = value if isinstance(value, int) else eval_int_expr(str(value), scope)
-            return ref["name"], bound
-        raise ScenarioError(f"{self.name}: malformed reference {ref!r}")
+        else:
+            raise ScenarioError(f"{self.name}: malformed reference {ref!r}")
+        label = f"{kind} {name!r}"
+        return name, self._checked(label, bound), label
 
     def _scoped(
         self, label: str, texts: Sequence[str], scope: Mapping[str, int], scan=template_vars
@@ -439,10 +460,9 @@ class Scenario:
         return _scope_key(effective), effective
 
     def ideal(self, ref: Any, scope: Mapping[str, int] | None = None) -> LeftIdeal:
-        name, bound = self._split_ref(ref, scope or {})
+        name, bound, label = self._split_ref("ideal", ref, scope)
         spec = self._named("ideals", name)
         generators = spec["generators"]
-        label = f"ideal {name!r}"
         key_scope, effective = self._scoped(label, generators, bound)
         key = (name, key_scope)
         if key not in self._ideals:
@@ -453,9 +473,8 @@ class Scenario:
         return self._ideals[key]
 
     def section(self, ref: Any, scope: Mapping[str, int] | None = None) -> DeltaSection:
-        name, bound = self._split_ref(ref, scope or {})
+        name, bound, label = self._split_ref("section", ref, scope)
         text = self._named("sections", name)
-        label = f"section {name!r}"
         key_scope, effective = self._scoped(label, [text], bound)
         key = (name, key_scope)
         if key not in self._sections:
@@ -464,9 +483,8 @@ class Scenario:
         return self._sections[key]
 
     def polynomial(self, ref: Any, scope: Mapping[str, int] | None = None) -> Poly:
-        name, bound = self._split_ref(ref, scope or {})
+        name, bound, label = self._split_ref("polynomial", ref, scope)
         text = self._named("polynomials", name)
-        label = f"polynomial {name!r}"
         key_scope, effective = self._scoped(label, [text], bound)
         key = (name, key_scope)
         if key not in self._polynomials:
@@ -490,10 +508,10 @@ class Scenario:
         return self._algebras[name]
 
     def character(self, ref: Any, scope: Mapping[str, int] | None = None) -> Character:
-        name, bound = self._split_ref(ref, scope or {})
+        name, bound, label = self._split_ref("character", ref, scope)
         spec = self._named("characters", name)
         texts = [str(v) for v in spec["values"]]
-        key_scope, effective = self._scoped(f"character {name!r}", texts, bound, _int_vars)
+        key_scope, effective = self._scoped(label, texts, bound, _int_vars)
         key = (name, key_scope)
         if key not in self._characters:
             algebra = self.algebra(spec["algebra"])
@@ -502,9 +520,8 @@ class Scenario:
         return self._characters[key]
 
     def chart(self, ref: Any, scope: Mapping[str, int] | None = None) -> Chart:
-        name, bound = self._split_ref(ref, scope or {})
+        name, bound, label = self._split_ref("chart", ref, scope)
         spec = self._named("charts", name)
-        label = f"chart {name!r}"
         equations, inequations = (
             tuple(self._parse(label, t, bound, parse_polynomial) for t in spec.get(field, []))
             for field in ("equations", "inequations")
@@ -512,14 +529,15 @@ class Scenario:
         return Chart(equations, inequations, spec.get("expected_dimension"))
 
     def point(self, ref: Any, scope: Mapping[str, int] | None = None) -> list[Fraction]:
-        name, bound = self._split_ref(ref, scope or {})
+        name, bound, label = self._split_ref("point", ref, scope)
         coords = self._named("points", name)
         if len(coords) != self.ambient:
-            raise ScenarioError(f"{self.name}: point {name!r} needs {self.ambient} coordinates")
+            raise ScenarioError(f"{self.name}: {label} needs {self.ambient} coordinates")
         return [Fraction(eval_int_expr(str(c), bound)) for c in coords]
 
     def expression(self, text: str, scope: Mapping[str, int] | None = None):
-        return self._parse(f"expression {text!r}", text, scope or {}, parse_expression)
+        label = f"expression {text!r}"
+        return self._parse(label, text, self._checked(label, scope or {}), parse_expression)
 
 
 def load_scenario(ref: str | Path) -> Scenario:

@@ -5,7 +5,9 @@ The oracles deliberately avoid the engine's closed-form algorithms:
 * normal ordering is recomputed by one-swap rewriting on generator words,
 * Hilbert data is recomputed by brute-force counting of standard monomials,
 * the action on polynomials is recomputed with ``Poly.derivative`` and
-  multiplication.
+  multiplication,
+* left division is recomputed by the textbook loop that rescans for the
+  leading term and rebuilds the element after every step.
 
 Property batches live here so the unit suites and the acceptance suite run
 the exact same assertions from the same documented seeds.
@@ -18,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from weylkit import (
+    DEFAULT_ORDER,
     DeltaModule,
     LeftIdeal,
     Monomial,
@@ -198,6 +201,35 @@ def check_module_axioms(seed: str, ambient: int = 3, rounds: int = 30) -> int:
         assert act(p + q, section) == act(p, section) + act(q, section)
         assert act(WeylElement.one(ambient), base) == base
     return rounds
+
+
+def naive_reduce(element, basis):
+    """Left division, textbook style: ``(normal_form, cofactors)``.
+
+    Each step rescans the working element for its leading term and rebuilds
+    it by subtraction; the first basis element whose leading monomial
+    divides wins, as in ``reduce_element``.
+    """
+    kind = type(element)
+    ambient = element.ambient
+    work = element
+    remainder = kind.zero(ambient)
+    cofactors = [kind.zero(ambient) for _ in basis]
+    while not work.is_zero():
+        mono = max(work.terms, key=DEFAULT_ORDER.key)
+        coeff = work.terms[mono]
+        for i, g in enumerate(basis):
+            lm = max(g.terms, key=DEFAULT_ORDER.key)
+            if lm.divides(mono):
+                piece = kind.from_monomial(mono.quotient(lm), coeff / g.terms[lm])
+                work = work - piece * g
+                cofactors[i] = cofactors[i] + piece
+                break
+        else:
+            stray = kind.from_monomial(mono, coeff)
+            remainder = remainder + stray
+            work = work - stray
+    return remainder, cofactors
 
 
 def check_groebner_spairs(generators: list[WeylElement]) -> int:

@@ -1,9 +1,14 @@
 """Command-line interface: verbs, exit codes, and output shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylkit
 from weylkit.cli import main
 
 
@@ -184,9 +189,59 @@ def test_exhausted_pair_budget_exits_two(capsys, monkeypatch):
     assert "WEYLKIT_GB_MAX_PAIRS" in err
 
 
-def test_template_error_names_scenario_object_and_binding(capsys):
+def test_template_error_names_scenario_object_and_binding(capsys, tmp_path):
+    # c stays signed, so a negative c reaches the template parser.
+    path = tmp_path / "signed.json"
+    raw = {"name": "signed", "ambient": 2, "sections": {"T": "(z1*d2)^{c}"}, "checks": []}
+    path.write_text(json.dumps(raw), encoding="utf-8")
     code, _, err = run(
-        capsys, "certify", "I1l", "--section", "Tl", "--scenario", "paper-n2", "--l", "-1"
+        capsys, "certify", "z1", "--section", "T", "--scenario", str(path), "--c", "-1"
     )
     assert code == 2
-    assert err.startswith("error: paper-n2: section 'Tl' (l=-1): expected 'num'")
+    assert err.startswith("error: signed: section 'T' (c=-1): expected 'num'")
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("gb", "paper-n2", "I1l", "--l", "-1"), "paper-n2: ideal 'I1l' (l=-1)"),
+        (("gb", "paper-n2", "I3", "--l", "-2"), "paper-n2: ideal 'I3' (l=-2)"),
+        (
+            ("certify", "I1l", "--section", "Tl", "--scenario", "paper-n2", "--l", "-1"),
+            "paper-n2: ideal 'I1l' (l=-1)",
+        ),
+        (
+            ("reduce", "z1", "--mod", "I1l", "--scenario", "paper-n3", "--l", "-1"),
+            "paper-n3: ideal 'I1l' (l=-1)",
+        ),
+    ],
+)
+def test_negative_l_is_refused(capsys, argv, where):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {where}: parameter l must be nonnegative\n"
+
+
+def test_huge_coefficient_is_a_named_error(capsys):
+    code, out, err = run(capsys, "normalize", "d1^2000*z1^2000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(weylkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "weylkit", "normalize", "d1*z1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "z1*d1 + 1"

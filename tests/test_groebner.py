@@ -1,13 +1,16 @@
 """Left Gröbner bases: division, Buchberger verification, membership, limits."""
 
 import random
+from itertools import product
 
 import pytest
 
-from helpers import check_groebner_spairs, random_element
+from helpers import check_groebner_spairs, naive_reduce, random_element
 from weylkit import (
     DEFAULT_ORDER,
     LeftIdeal,
+    Monomial,
+    Poly,
     PairLimitExceeded,
     buchberger,
     ideal_contains,
@@ -17,6 +20,7 @@ from weylkit import (
     reduce_element,
     s_polynomial,
 )
+from weylkit.charvar import graded_ideal
 from weylkit.weyl import WeylElement, d, z
 
 
@@ -168,3 +172,83 @@ def test_pair_limit_rejects_garbage(monkeypatch):
 def test_mixed_ambient_rejected():
     with pytest.raises(ValueError):
         LeftIdeal([z(1, 1), z(1, 2)])
+
+
+def _division_queries(rng, basis, kind, count):
+    """Random elements, half of them shifted by a left multiple of a basis
+    element so that division has real work to do."""
+    ambient = basis[0].ambient
+    for k in range(count):
+        x = kind(ambient, random_element(rng, ambient, terms=4, max_exp=1).terms)
+        if k % 2:
+            factor = kind(ambient, random_element(rng, ambient, terms=2, max_exp=1).terms)
+            x = x + factor * basis[rng.randrange(len(basis))]
+        yield x
+
+
+@pytest.mark.parametrize(
+    "scenario, name, l",
+    [
+        ("n2_scenario", "I1l", 2),
+        ("n2_scenario", "I3", None),
+        ("n3_scenario", "I1l", 1),
+        ("n3_scenario", "Idoubleprime", 1),
+        ("n3_scenario", "I3", None),
+    ],
+)
+def test_reduce_element_matches_rescanning_oracle(request, scenario, name, l):
+    ideal = request.getfixturevalue(scenario).ideal(name, {} if l is None else {"l": l})
+    basis = list(ideal.groebner_basis().elements)
+    rng = random.Random(f"weylkit-division-oracle:{name}:{l}")
+    for x in _division_queries(rng, basis, WeylElement, 12):
+        remainder, cofactors = reduce_element(x, basis, track=True)
+        assert (remainder, cofactors) == naive_reduce(x, basis)
+        assert reduce_element(x, basis) == remainder
+
+
+def test_reduce_element_matches_oracle_on_polynomials(n3_scenario):
+    basis = list(graded_ideal(n3_scenario.ideal("I1l", {"l": 1})).groebner_basis().elements)
+    assert all(isinstance(g, Poly) for g in basis)
+    rng = random.Random("weylkit-division-oracle:poly")
+    for x in _division_queries(rng, basis, Poly, 20):
+        assert reduce_element(x, basis, track=True) == naive_reduce(x, basis)
+
+
+def test_reduce_element_on_an_unreduced_basis_matches_oracle():
+    # Overlapping leading monomials and non-monic divisors: the first
+    # divisor in list order wins, in both implementations.
+    basis = [parse_expression(t, ambient=2) for t in ("3*z1*d1 - d2", "z1 + 2*d2^2", "z1*d1*d2")]
+    rng = random.Random("weylkit-division-oracle:unreduced")
+    for x in _division_queries(rng, basis, WeylElement, 20):
+        assert reduce_element(x, basis, track=True) == naive_reduce(x, basis)
+
+
+def test_cached_leading_monomial_matches_a_rescan():
+    rng = random.Random("weylkit-leading-cache")
+
+    def rescan(element):
+        return max(element.terms, key=DEFAULT_ORDER.key)
+
+    for _ in range(40):
+        f = random_element(rng, 3)
+        g = random_element(rng, 3)
+        f.leading_monomial()  # fill the cache before deriving new elements
+        results = [f + g, f - g, -f, f * g, f.scaled(rng.randint(-4, 4) or 3), f.monic()]
+        for element in results:
+            if element.is_zero():
+                continue
+            assert element.leading_monomial() == rescan(element)
+            assert element.leading_coefficient() == element.terms[rescan(element)]
+        assert f.monic().leading_coefficient() == 1
+
+
+def test_heap_key_sorts_opposite_to_the_order_key():
+    monomials = [
+        Monomial(slots[:2], slots[2:])
+        for slots in product(range(5), repeat=4)
+        if sum(slots) <= 4
+    ]
+    assert len(monomials) == 70
+    by_key = sorted(monomials, key=DEFAULT_ORDER.key)
+    assert sorted(monomials, key=DEFAULT_ORDER.heap_key) == by_key[::-1]
+    assert len({DEFAULT_ORDER.heap_key(m) for m in monomials}) == len(monomials)

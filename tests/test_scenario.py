@@ -278,3 +278,44 @@ def test_every_paper_check_cites_an_anchor(n2_report, n3_report):
 def test_builtin_reports_are_fully_green(n2_report, n3_report):
     assert n2_report["summary"]["all_pass"]
     assert n3_report["summary"]["all_pass"]
+
+
+def test_negative_foreach_l_rejected_at_load():
+    with pytest.raises(ScenarioError, match=r"unit: check 'm' foreach \(l=-1\): parameter l must be nonnegative"):
+        scenario_with_checks(check(check_id="m", foreach={"l": [0, -1]}))
+
+
+def test_negative_c_stays_allowed():
+    scenario = scenario_with_checks(check(check_id="m", foreach={"c": [-3]}))
+    report = run_scenario(scenario)
+    assert [(c["id"], c["verdict"]) for c in report["checks"]] == [("m[c=-3]", "pass")]
+
+
+def test_negative_l_from_a_bound_reference_is_a_named_error():
+    raw = minimal_raw(
+        ideals={"J": {"generators": ["z1*d1 - {l}"]}},
+        checks=[
+            check(
+                check_id="bound",
+                ideal={"name": "J", "l": "l - 1"},
+                element="z1*d1",
+                foreach={"l": [0]},
+            )
+        ],
+    )
+    (record,) = run_scenario(Scenario(raw))["checks"]
+    assert record["verdict"] == "error"
+    assert record["witness"]["message"] == "unit: ideal 'J' (l=-1): parameter l must be nonnegative"
+
+
+def test_negative_l_refused_by_every_resolver(n2_scenario):
+    for resolve, name in (
+        (n2_scenario.ideal, "I1l"),
+        (n2_scenario.section, "Tl"),
+        (n2_scenario.polynomial, "fourier-Tl"),
+        (n2_scenario.character, "chi-l"),
+    ):
+        with pytest.raises(ScenarioError, match=rf"paper-n2: \w+ '{name}' \(l=-1\): parameter l"):
+            resolve(name, {"l": -1})
+    with pytest.raises(ScenarioError, match=r"paper-n2: expression 'z1' \(l=-1\): parameter l"):
+        n2_scenario.expression("z1", {"l": -1})
