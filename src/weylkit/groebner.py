@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,6 +55,31 @@ def reduce_element(
     ``element == sum(cofactors[i] * basis[i]) + normal_form`` when ``track``
     is set.  Terms are processed from the top down; the first basis element
     whose leading monomial divides wins.
+    """
+    return _divide(element, basis, _division_data(basis, type(element), element.ambient), track)
+
+
+def _division_data(
+    basis: Sequence[SparseElement], kind: type, ambient: int
+) -> list[tuple[Monomial, Fraction]]:
+    """Check that ``basis`` holds nonzero elements of one ring; list its leading terms."""
+    for g in basis:
+        if type(g) is not kind:
+            raise TypeError("mixed element types in division")
+        if g.ambient != ambient:
+            raise ValueError("ambient mismatch in division")
+        if g.is_zero():
+            raise ValueError("zero divisor in basis")
+    return [(g.leading_monomial(), g.leading_coefficient()) for g in basis]
+
+
+def _divide(
+    element: SparseElement,
+    basis: Sequence[SparseElement],
+    leading: Sequence[tuple[Monomial, Fraction]],
+    track: bool,
+):
+    """``reduce_element`` on a checked basis, given its leading terms.
 
     The live terms sit in a dict and their monomials in a heap that pops the
     largest first (Monagan-Pearce style).  Every term a division step adds
@@ -62,15 +88,6 @@ def reduce_element(
     """
     kind = type(element)
     ambient = element.ambient
-    for g in basis:
-        if type(g) is not kind:
-            raise TypeError("mixed element types in division")
-        if g.ambient != ambient:
-            raise ValueError("ambient mismatch in division")
-        if g.is_zero():
-            raise ValueError("zero divisor in basis")
-    leading = [(g.leading_monomial(), g.leading_coefficient()) for g in basis]
-
     heap_key = DEFAULT_ORDER.heap_key
     work = dict(element.terms)
     heap = [(heap_key(mono), mono) for mono in work]
@@ -143,12 +160,22 @@ class GroebnerBasis:
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial() for g in self.elements)
 
+    @cached_property
+    def _leading(self) -> list[tuple[Monomial, Fraction]]:
+        """Division data, checked and built once."""
+        return _division_data(self.elements, type(self.elements[0]), self.ambient)
+
     def reduce(self, element: SparseElement, track: bool = False):
         if not self.elements:
             if track:
                 return element, []
             return element
-        return reduce_element(element, self.elements, track=track)
+        leading = self._leading
+        if type(element) is not type(self.elements[0]):
+            raise TypeError("mixed element types in division")
+        if element.ambient != self.ambient:
+            raise ValueError("ambient mismatch in division")
+        return _divide(element, self.elements, leading, track)
 
     def contains(self, element: SparseElement) -> bool:
         if element.is_zero():
@@ -181,6 +208,7 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
             raise ValueError("ambient mismatch in generators")
 
     basis = [g.monic() for g in gens]
+    leading = _division_data(basis, kind, ambient)
     queue: list[tuple[int, tuple, int, int]] = []
 
     def push_pairs(j: int) -> None:
@@ -204,11 +232,12 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
             )
         if _may_skip_pair(basis[i], basis[j]):
             continue
-        remainder = reduce_element(s_polynomial(basis[i], basis[j]), basis)
+        remainder = _divide(s_polynomial(basis[i], basis[j]), basis, leading, False)
         if remainder.is_zero():
             zero_reductions += 1
             continue
         basis.append(remainder.monic())
+        leading += _division_data(basis[-1:], kind, ambient)
         push_pairs(len(basis) - 1)
 
     return GroebnerBasis(tuple(_interreduce(basis)), processed, zero_reductions)

@@ -5,6 +5,15 @@ rho(A) = -sum a_ij z_j d_i, a Lie algebra homomorphism used to present
 modules by ideals rho(x) - chi(x); and the geometric vector field
 v_A = sum (Az)_i d_i used for orbit tangent spaces and variety stability.
 The two differ by a sign, which flips the bracket: v is an antihomomorphism.
+
+A subalgebra does its linear algebra once, on sparse matrices (dicts of
+nonzero entries keyed by (row, column)).  Construction echelonizes the basis
+and keeps, for each echelon row, its combination of basis elements, so
+coordinates are one pass of back-substitution.  The structure constants
+c_ij^k, the coordinates of [b_i, b_j] for i < j, are computed from sparse
+brackets on first use and cached; bracket closure and the character
+condition sum_k c_ij^k chi_k = 0 are both read from that table (de Graaf,
+Lie Algebras: Theory and Algorithms, 2000, ch. 1).
 """
 
 from __future__ import annotations
@@ -14,10 +23,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .base import Scalar, as_fraction
-from .linalg import Matrix, Vector, in_span, mat_mul, mat_sub, matrix, rank, solve, invert
+from .linalg import Matrix, Vector, invert, mat_mul, matrix, rank
 from .parser import ParseError
 from .poly import Poly
 from .weyl import WeylElement, d, z
+
+# Nonzero entries of a matrix, keyed by 0-based (row, column).
+Sparse = dict[tuple[int, int], Fraction]
 
 
 def elementary(i: int, j: int, size: int) -> Matrix:
@@ -28,8 +40,32 @@ def elementary(i: int, j: int, size: int) -> Matrix:
     return out
 
 
+def _sparse(mat: Matrix) -> Sparse:
+    return {(i, j): v for i, row in enumerate(mat) for j, v in enumerate(row) if v}
+
+
+def _sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
+    """[a, b] = ab - ba, one product term per pair of nonzero entries."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, k), x in a.items():
+        for (p, j), y in b.items():
+            if k == p:
+                out[i, j] = out.get((i, j), 0) + x * y
+            if j == i:
+                out[p, k] = out.get((p, k), 0) - y * x
+    return {key: v for key, v in out.items() if v}
+
+
 def bracket(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """[a, b] = ab - ba, dense in and out, computed by ``_sparse_bracket``."""
+    a, b = matrix(a), matrix(b)
+    size = len(a)
+    if len(b) != size or any(len(row) != size for row in a + b):
+        raise ValueError("bracket needs two square matrices of one size")
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for (i, j), v in _sparse_bracket(_sparse(a), _sparse(b)).items():
+        out[i][j] = v
+    return out
 
 
 def parse_matrix_expr(text: str, size: int) -> Matrix:
@@ -83,20 +119,61 @@ class LieSubalgebra:
 
     def __init__(self, size: int, basis: Sequence[Matrix]):
         self._size = size
-        checked = []
-        for b in basis:
-            mat = matrix(b)
-            if len(mat) != size or any(len(row) != size for row in mat):
-                raise ValueError(f"expected {size} x {size} matrices")
-            checked.append(mat)
-        self._basis = checked
-        flat = [self._flatten(b) for b in checked]
-        if rank(flat) != len(checked):
-            raise ValueError("basis matrices are linearly dependent")
+        self._basis = [self._checked(b) for b in basis]
+        self._sparse_basis = [_sparse(b) for b in self._basis]
+        # Echelon rows in basis order: (pivot, row, transform) with row[pivot]
+        # == 1, row zero at every earlier pivot, and row equal to the sum of
+        # transform[k] * basis[k].
+        self._echelon: list[tuple[tuple[int, int], Sparse, dict[int, Fraction]]] = []
+        for index, entries in enumerate(self._sparse_basis):
+            residue, combination = self._reduce(entries)
+            if not residue:
+                raise ValueError("basis matrices are linearly dependent")
+            pivot = min(residue)
+            scale = residue[pivot]
+            transform = {k: -c / scale for k, c in combination.items()}
+            transform[index] = 1 / scale
+            row = {key: v / scale for key, v in residue.items()}
+            self._echelon.append((pivot, row, transform))
+        self._structure: dict[tuple[int, int], dict[int, Fraction] | None] | None = None
 
-    @staticmethod
-    def _flatten(mat: Matrix) -> Vector:
-        return [entry for row in mat for entry in row]
+    def _checked(self, mat: Matrix) -> Matrix:
+        mat = matrix(mat)
+        if len(mat) != self._size or any(len(row) != self._size for row in mat):
+            raise ValueError(f"expected {self._size} x {self._size} matrices")
+        return mat
+
+    def _reduce(self, entries: Sparse) -> tuple[Sparse, dict[int, Fraction]]:
+        """Back-substitution: (residue, combination) with entries equal to
+        residue + sum combination[k] * basis[k] and residue zero at every pivot."""
+        residue = dict(entries)
+        combination: dict[int, Fraction] = {}
+        for pivot, row, transform in self._echelon:
+            factor = residue.get(pivot)
+            if factor is None:
+                continue
+            for key, v in row.items():
+                updated = residue.get(key, 0) - factor * v
+                if updated:
+                    residue[key] = updated
+                else:
+                    del residue[key]
+            for k, t in transform.items():
+                combination[k] = combination.get(k, 0) + factor * t
+        return residue, combination
+
+    def _structure_constants(self) -> dict[tuple[int, int], dict[int, Fraction] | None]:
+        """c_ij^k by 0-based pair (i, j), i < j, in row order; None where [b_i, b_j]
+        leaves the span.  Computed on first use and cached."""
+        if self._structure is None:
+            sparse = self._sparse_basis
+            table = {}
+            for i in range(len(sparse)):
+                for j in range(i + 1, len(sparse)):
+                    residue, combination = self._reduce(_sparse_bracket(sparse[i], sparse[j]))
+                    table[i, j] = None if residue else combination
+            self._structure = table
+        return self._structure
 
     @property
     def size(self) -> int:
@@ -111,22 +188,19 @@ class LieSubalgebra:
         return len(self._basis)
 
     def coordinates(self, mat: Matrix) -> Vector | None:
-        columns = [self._flatten(b) for b in self._basis]
-        # Solve as a column system: stack basis vectors as matrix columns.
-        system = [[col[k] for col in columns] for k in range(self._size**2)]
-        return solve(system, self._flatten(matrix(mat)))
+        residue, combination = self._reduce(_sparse(self._checked(mat)))
+        if residue:
+            return None
+        return [Fraction(combination.get(k, 0)) for k in range(self.dimension)]
 
     def contains(self, mat: Matrix) -> bool:
         return self.coordinates(mat) is not None
 
     def bracket_defect(self) -> tuple[int, int] | None:
         """First basis pair (1-based) whose bracket escapes the span, if any."""
-        flat = [self._flatten(b) for b in self._basis]
-        for i in range(len(self._basis)):
-            for j in range(i + 1, len(self._basis)):
-                lie = self._flatten(bracket(self._basis[i], self._basis[j]))
-                if not in_span(flat, lie):
-                    return i + 1, j + 1
+        for (i, j), constants in self._structure_constants().items():
+            if constants is None:
+                return i + 1, j + 1
         return None
 
     def is_subalgebra(self) -> bool:
@@ -160,12 +234,12 @@ class Character:
         return sum((c * v for c, v in zip(coords, self.values)), Fraction(0))
 
     def vanishes_on_brackets(self) -> bool:
-        """A character must kill [x, y]; checked on all basis pairs."""
-        basis = self.algebra.basis
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                if self.value(bracket(basis[i], basis[j])) != 0:
-                    return False
+        """A character must kill [x, y]: sum_k c_ij^k chi_k = 0 on all basis pairs."""
+        for constants in self.algebra._structure_constants().values():
+            if constants is None:
+                raise ValueError("matrix lies outside the subalgebra")
+            if sum(c * self.values[k] for k, c in constants.items()):
+                return False
         return True
 
 
@@ -218,11 +292,11 @@ def vector_field_operator(mat: Matrix) -> WeylElement:
 
 def twisted_generators(algebra: LieSubalgebra, character: Character) -> list[WeylElement]:
     """Generators rho(x_k) - chi(x_k) of the induced presentation ideal."""
-    if character.algebra is not algebra and character.algebra.basis != algebra.basis:
+    if character.algebra is not algebra and character.algebra._basis != algebra._basis:
         raise ValueError("character belongs to a different subalgebra")
     return [
         rho(x) - WeylElement.constant(v, algebra.size)
-        for x, v in zip(algebra.basis, character.values)
+        for x, v in zip(algebra._basis, character.values)
     ]
 
 

@@ -1,7 +1,12 @@
 """Small exact linear algebra over the rationals.
 
 Matrices are lists of equal-length rows of Fractions.  Nothing here is
-tuned; sizes stay in the tens.
+tuned; sizes stay in the tens.  The Lie layer does its own sparse
+echelon work for subalgebras and calls in here only for the dense
+leftovers: ``conjugate_subalgebra`` (``mat_mul``, ``invert``) and
+``tangent_rank_at`` (``rank``).  ``solve`` has no caller in the package;
+the tests use it as the dense coordinates oracle, and the benchmark's
+tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -35,10 +40,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     m = [row[:] for row in a]
@@ -65,15 +66,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(a: Matrix) -> int:
     return len(rref(a)[1])
-
-
-def in_span(rows: Matrix, candidate: Vector) -> bool:
-    """Whether candidate is a rational combination of the given rows."""
-    if not rows:
-        return all(v == 0 for v in candidate)
-    if len(candidate) != len(rows[0]):
-        raise ValueError("length mismatch")
-    return rank(rows) == rank(rows + [list(candidate)])
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:

@@ -7,7 +7,9 @@ The oracles deliberately avoid the engine's closed-form algorithms:
 * the action on polynomials is recomputed with ``Poly.derivative`` and
   multiplication,
 * left division is recomputed by the textbook loop that rescans for the
-  leading term and rebuilds the element after every step.
+  leading term and rebuilds the element after every step,
+* the Lie layer is recomputed densely: flattened matrices, span tests by
+  comparing ``rank``, coordinates by ``solve`` and brackets by ``mat_mul``.
 
 Property batches live here so the unit suites and the acceptance suite run
 the exact same assertions from the same documented seeds.
@@ -34,6 +36,7 @@ from weylkit import (
     s_polynomial,
     section_from_operator,
 )
+from weylkit.linalg import mat_mul, rank, solve
 from weylkit.weyl import PartialFourierSpec, d as d_op, z as z_op
 
 Letter = tuple[str, int]
@@ -230,6 +233,53 @@ def naive_reduce(element, basis):
             remainder = remainder + stray
             work = work - stray
     return remainder, cofactors
+
+
+# -- Dense oracles for the Lie layer ------------------------------------------
+
+def flatten(mat) -> list[Fraction]:
+    return [entry for row in mat for entry in row]
+
+
+def dense_bracket(a, b):
+    """AB - BA by two dense products."""
+    return [
+        [x - y for x, y in zip(row_ab, row_ba)]
+        for row_ab, row_ba in zip(mat_mul(a, b), mat_mul(b, a))
+    ]
+
+
+def dense_in_span(basis, mat) -> bool:
+    rows = [flatten(b) for b in basis]
+    return rank(rows) == rank(rows + [flatten(mat)])
+
+
+def dense_coordinates(basis, mat):
+    """Coordinates of ``mat`` in ``basis`` from the column system, or None."""
+    columns = [flatten(b) for b in basis]
+    system = [[col[k] for col in columns] for k in range(len(columns[0]))]
+    return solve(system, flatten(mat))
+
+
+def dense_bracket_defect(basis):
+    """First 1-based pair whose bracket leaves the span, pair by pair."""
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if not dense_in_span(basis, dense_bracket(basis[i], basis[j])):
+                return i + 1, j + 1
+    return None
+
+
+def dense_vanishes_on_brackets(basis, values) -> bool:
+    """The character test pair by pair, raising where a bracket has no value."""
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            coords = dense_coordinates(basis, dense_bracket(basis[i], basis[j]))
+            if coords is None:
+                raise ValueError("matrix lies outside the subalgebra")
+            if sum(c * v for c, v in zip(coords, values)) != 0:
+                return False
+    return True
 
 
 def check_groebner_spairs(generators: list[WeylElement]) -> int:

@@ -252,3 +252,21 @@ def test_heap_key_sorts_opposite_to_the_order_key():
     by_key = sorted(monomials, key=DEFAULT_ORDER.key)
     assert sorted(monomials, key=DEFAULT_ORDER.heap_key) == by_key[::-1]
     assert len({DEFAULT_ORDER.heap_key(m) for m in monomials}) == len(monomials)
+
+
+def test_groebner_basis_reduce_matches_oracle_and_checks_its_input(n2_scenario):
+    basis = n2_scenario.ideal("I1l", {"l": 2}).groebner_basis()
+    rng = random.Random("weylkit-division-oracle:groebner-basis")
+    for x in _division_queries(rng, list(basis.elements), WeylElement, 8):
+        assert basis.reduce(x, track=True) == naive_reduce(x, list(basis.elements))
+        assert basis.reduce(x) == reduce_element(x, basis.elements)
+    with pytest.raises(TypeError, match="mixed element types"):
+        basis.reduce(Poly.zero(4))
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        basis.reduce(z(1, 3))
+    with pytest.raises(TypeError, match="mixed element types"):
+        reduce_element(Poly.zero(4), basis.elements)
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        reduce_element(z(1, 3), basis.elements)
+    with pytest.raises(ValueError, match="zero divisor"):
+        reduce_element(z(1, 4), [d(1, 4), WeylElement.zero(4)])

@@ -5,6 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import (
+    dense_bracket,
+    dense_bracket_defect,
+    dense_coordinates,
+    dense_in_span,
+    dense_vanishes_on_brackets,
+)
 from weylkit import (
     Character,
     LeftIdeal,
@@ -17,6 +24,8 @@ from weylkit import (
     parse_matrix_expr,
     parse_polynomial,
     rho,
+    run_scenario,
+    Scenario,
     tangent_rank_at,
     twisted_generators,
     variety_stable,
@@ -190,3 +199,155 @@ def test_tangent_ranks_match_orbit_dimensions():
     assert tangent_rank_at(h2, [1, 1, 1, 1]) == 4
     for c in (1, 2, -3):
         assert tangent_rank_at(h3, [1, 0, c, 1]) == 2
+
+
+# -- The echelon / structure-constant path against the dense oracles ---------
+
+
+def random_sparse_matrix(rng: random.Random, size: int):
+    """An elementary matrix or a sum of two or three with small coefficients."""
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        out[rng.randrange(size)][rng.randrange(size)] += rng.choice((1, 1, -1, 2, -3))
+    return out
+
+
+def random_algebra_basis(rng: random.Random, size: int):
+    """An independent list; half of the time grown by escaping brackets until
+    closed or seven-dimensional."""
+    basis = []
+    target = rng.randint(2, 4)
+    while len(basis) < target:
+        candidate = random_sparse_matrix(rng, size)
+        if not dense_in_span(basis, candidate):
+            basis.append(candidate)
+    if rng.random() < 0.5:
+        while len(basis) < 7 and (defect := dense_bracket_defect(basis)) is not None:
+            basis.append(dense_bracket(basis[defect[0] - 1], basis[defect[1] - 1]))
+    return basis
+
+
+def character_values(rng: random.Random, basis):
+    """Trace values (a character of every subalgebra), zeros, or random values."""
+    choice = rng.randrange(3)
+    if choice == 0:
+        return [sum(b[k][k] for k in range(len(b))) * rng.randint(1, 3) for b in basis]
+    if choice == 1:
+        return [0] * len(basis)
+    return [rng.randint(-2, 2) for _ in basis]
+
+
+def outcome(check):
+    try:
+        return "returned", check()
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+def assert_matches_dense_oracle(algebra: LieSubalgebra, rng: random.Random, characters=()):
+    basis = algebra.basis
+    assert algebra.bracket_defect() == dense_bracket_defect(basis)
+    assert algebra.is_subalgebra() == (dense_bracket_defect(basis) is None)
+    queries = [dense_bracket(a, b) for i, a in enumerate(basis) for b in basis[i + 1 :]]
+    for _ in range(4):
+        combination = [[Fraction(0)] * algebra.size for _ in range(algebra.size)]
+        for b in basis:
+            c = rng.randint(-3, 3)
+            combination = [[x + c * y for x, y in zip(r, s)] for r, s in zip(combination, b)]
+        queries += [combination, random_sparse_matrix(rng, algebra.size)]
+    for query in queries:
+        expected = dense_coordinates(basis, query)
+        assert algebra.coordinates(query) == expected
+        assert algebra.contains(query) == (expected is not None)
+    for values in characters:
+        chi = character_from_values(algebra, values)
+        assert outcome(chi.vanishes_on_brackets) == outcome(
+            lambda: dense_vanishes_on_brackets(basis, chi.values)
+        )
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_random_spans_match_the_dense_oracle(size):
+    rng = random.Random(f"weylkit-lie-oracle:{size}")
+    closed = open_ = 0
+    for _ in range(30):
+        basis = random_algebra_basis(rng, size)
+        algebra = LieSubalgebra(size, basis)
+        assert algebra.basis == basis
+        characters = [character_values(rng, basis) for _ in range(3)]
+        assert_matches_dense_oracle(algebra, rng, characters)
+        if algebra.is_subalgebra():
+            closed += 1
+        else:
+            open_ += 1
+    assert closed >= 10 and open_ >= 10
+
+
+def test_builtin_algebras_match_the_dense_oracle(n2_scenario, n3_scenario):
+    rng = random.Random("weylkit-lie-oracle:builtin")
+    seen = []
+    for scenario in (n2_scenario, n3_scenario):
+        for name in scenario.raw["subalgebras"]:
+            algebra = scenario.algebra(name)
+            characters = [character_values(rng, algebra.basis)]
+            for char_name, spec in scenario.raw["characters"].items():
+                if spec["algebra"] == name:
+                    for l in (0, 1, 2, 3):
+                        characters.append(scenario.character(char_name, {"l": l}).values)
+            assert_matches_dense_oracle(algebra, rng, characters)
+            seen.append((scenario.name, name))
+    assert ("paper-n2", "iota-h2") in seen and ("paper-n3", "h1") in seen
+
+
+def test_bracket_equals_the_dense_commutator():
+    rng = random.Random("weylkit-lie-bracket")
+    for size in (1, 2, 3, 5):
+        for _ in range(10):
+            a, b = (
+                [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)] for _ in range(size)]
+                for _ in range(2)
+            )
+            assert bracket(a, b) == dense_bracket(a, b)
+    with pytest.raises(ValueError):
+        bracket(elementary(1, 2, 2), elementary(1, 2, 3))
+
+
+# -- Error paths --------------------------------------------------------------
+
+
+def test_dependent_basis_is_refused():
+    with pytest.raises(ValueError, match="basis matrices are linearly dependent"):
+        LieSubalgebra(4, [mat("E11 + E22"), mat("E14"), mat("2*E11 + 2*E22 - E14")])
+    with pytest.raises(ValueError, match="expected 4 x 4 matrices"):
+        LieSubalgebra(4, [elementary(1, 2, 3)])
+
+
+def test_character_on_a_non_closed_algebra_raises():
+    sl2_partial = LieSubalgebra(2, [elementary(1, 2, 2), elementary(2, 1, 2)])
+    chi = character_from_values(sl2_partial, [0, 0])
+    with pytest.raises(ValueError, match="matrix lies outside the subalgebra"):
+        chi.vanishes_on_brackets()
+
+
+def test_character_valid_on_a_non_closed_algebra_is_an_error_record():
+    raw = {
+        "name": "open",
+        "ambient": 2,
+        "subalgebras": {"b": {"basis": ["E12", "E21"]}},
+        "characters": {"c": {"algebra": "b", "values": ["0", "0"]}},
+        "checks": [{"id": "cv", "kind": "character_valid", "character": "c", "provenance": "TRIVIAL"}],
+    }
+    (record,) = run_scenario(Scenario(raw))["checks"]
+    assert record["verdict"] == "error"
+    assert record["witness"]["message"] == "matrix lies outside the subalgebra"
+
+
+def test_twisted_generators_refuse_a_foreign_character():
+    h3 = LieSubalgebra(4, [mat(t) for t in H3_TEXTS])
+    twin = LieSubalgebra(4, [mat(t) for t in H3_TEXTS])
+    other = LieSubalgebra(4, [mat(t) for t in ("E11", "E22", "E33", "E44")])
+    assert twisted_generators(h3, character_from_values(twin, [1, 1, 0, 0])) == twisted_generators(
+        h3, character_from_values(h3, [1, 1, 0, 0])
+    )
+    with pytest.raises(ValueError, match="different subalgebra"):
+        twisted_generators(h3, character_from_values(other, [1, 1, 0, 0]))
