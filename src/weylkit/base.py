@@ -1,8 +1,12 @@
 """Shared sparse-element machinery for the operator and symbol rings.
 
 Elements are immutable maps from Monomial to nonzero Fraction, so each one
-computes its leading monomial at most once.  Subclasses supply the ring
-product through ``_term_product`` and a printing dialect.
+computes its leading monomial at most once.  Subclasses supply a printing
+dialect and the ring product of two monomials through ``_term_product``,
+which yields (monomial, int) pairs.  Every product runs through one kernel,
+``_left_terms``: the terms of (coeff * mono) * self, one term of self at a
+time, with monomials that may repeat.  ``*``, division and S-polynomials
+accumulate those terms straight into a dict.
 """
 
 from __future__ import annotations
@@ -144,12 +148,7 @@ class SparseElement:
             other = type(self).constant(other, self._ambient)
         self._require_same(other)
         out = dict(self._terms)
-        for mono, c in other._terms.items():
-            acc = out.get(mono, Fraction(0)) + c
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
+        _accumulate(out, other._terms.items())
         return self._make(out)
 
     __radd__ = __add__
@@ -177,13 +176,7 @@ class SparseElement:
         self._require_same(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                for mono, coeff in self._term_product(m1, m2):
-                    acc = out.get(mono, Fraction(0)) + c1 * c2 * coeff
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        out.pop(mono, None)
+            _accumulate(out, other._left_terms(m1, c1))
         return self._make(out)
 
     def __rmul__(self, other):
@@ -206,8 +199,18 @@ class SparseElement:
             e >>= 1
         return result
 
-    def _term_product(self, m1: Monomial, m2: Monomial):
+    def _term_product(self, m1: Monomial, m2: Monomial) -> Iterator[tuple[Monomial, int]]:
+        """Terms of the product m1 * m2 with integer coefficients."""
         raise NotImplementedError
+
+    def _left_terms(self, mono: Monomial, coeff: Fraction) -> Iterator[tuple[Monomial, Fraction]]:
+        """Terms of (coeff * mono) * self; a monomial may repeat and the
+        repeats may cancel, so callers accumulate."""
+        term_product = self._term_product
+        for m2, c2 in self._terms.items():
+            c = coeff * c2
+            for out, k in term_product(mono, m2):
+                yield out, (c if k == 1 else c * k)
 
     # -- leading data ----------------------------------------------------------
 
@@ -239,6 +242,20 @@ class SparseElement:
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: DEFAULT_ORDER.key(kv[0]), reverse=True)
+
+
+def _accumulate(out: dict[Monomial, Fraction], terms: Iterable[tuple[Monomial, Fraction]]) -> None:
+    """Add ``terms`` into ``out`` in place, dropping monomials that cancel."""
+    for mono, c in terms:
+        acc = out.get(mono)
+        if acc is None:
+            out[mono] = c
+        else:
+            acc += c
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
 
 
 def _check_printable(coeff: Fraction, term: str) -> None:

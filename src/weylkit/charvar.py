@@ -122,18 +122,32 @@ def _interreduce_monomials(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]
 
 
 def _hilbert_numerator(gens: list[tuple[int, ...]]) -> list[int]:
-    """Numerator of the Hilbert series of R/(gens) over (1-t)^slots."""
-    gens = _interreduce_monomials(gens)
-    if not gens:
-        return [1]
-    if all(e == 0 for e in gens[0]):
-        return [0]
-    g = gens[-1]
-    rest = gens[:-1]
-    colon = [tuple(max(a - b, 0) for a, b in zip(h, g)) for h in rest]
-    left = _hilbert_numerator(rest)
-    right = _hilbert_numerator(colon)
-    return _poly_sub_shifted(left, right, sum(g))
+    """Numerator of the Hilbert series of R/(gens) over (1-t)^slots.
+
+    The recursion H(I) = H(rest) - t^deg(g) H(rest : g) meets the same
+    ideals many times over, so one call memoises them by their interreduced
+    generators.
+    """
+    memo: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+
+    def numerator(gens: list[tuple[int, ...]]) -> list[int]:
+        key = tuple(_interreduce_monomials(gens))
+        known = memo.get(key)
+        if known is not None:
+            return known
+        if not key:
+            known = [1]
+        elif all(e == 0 for e in key[0]):
+            known = [0]
+        else:
+            g = key[-1]
+            rest = list(key[:-1])
+            colon = [tuple(max(a - b, 0) for a, b in zip(h, g)) for h in rest]
+            known = _poly_sub_shifted(numerator(rest), numerator(colon), sum(g))
+        memo[key] = known
+        return known
+
+    return numerator(gens)
 
 
 def multiplicity(graded: LeftIdeal) -> int:

@@ -19,7 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .base import SparseElement
+from .base import SparseElement, _accumulate
 from .monomial import Monomial
 from .orders import DEFAULT_ORDER
 from .poly import Poly
@@ -82,12 +82,12 @@ def _divide(
     """``reduce_element`` on a checked basis, given its leading terms.
 
     The live terms sit in a dict and their monomials in a heap that pops the
-    largest first (Monagan-Pearce style).  Every term a division step adds
-    lies strictly below that step's leading monomial, so a heap entry whose
-    term has already cancelled or moved to the remainder is simply skipped.
+    largest first (Monagan-Pearce style).  Each step subtracts the terms of
+    quotient * basis[i] one by one, straight from the product kernel.  Every
+    term a step adds lies strictly below that step's leading monomial, so a
+    heap entry whose term has already cancelled or moved to the remainder is
+    simply skipped; a term that cancels and then reappears is pushed again.
     """
-    kind = type(element)
-    ambient = element.ambient
     heap_key = DEFAULT_ORDER.heap_key
     work = dict(element.terms)
     heap = [(heap_key(mono), mono) for mono in work]
@@ -103,7 +103,7 @@ def _divide(
             if lm.divides(mono):
                 quotient = mono.quotient(lm)
                 factor = coeff / lc
-                for term, c in kind.from_monomial(quotient, factor) * basis[i]:
+                for term, c in basis[i]._left_terms(quotient, factor):
                     acc = work.get(term)
                     if acc is None:
                         work[term] = -c
@@ -117,18 +117,21 @@ def _divide(
         else:
             remainder[mono] = work.pop(mono)
     if track:
-        return kind(ambient, remainder), [kind(ambient, cof) for cof in cofactors]
-    return kind(ambient, remainder)
+        return element._make(remainder), [element._make(cof) for cof in cofactors]
+    return element._make(remainder)
 
 
 def s_polynomial(f: SparseElement, g: SparseElement) -> SparseElement:
-    kind = type(f)
+    """left * f - right * g with the monomial multipliers that cancel both
+    leading terms at their lcm, built in one dict."""
+    f._require_same(g)
     lm_f = f.leading_monomial()
     lm_g = g.leading_monomial()
     lcm = lm_f.lcm(lm_g)
-    left = kind.from_monomial(lcm.quotient(lm_f), 1 / f.terms[lm_f])
-    right = kind.from_monomial(lcm.quotient(lm_g), 1 / g.terms[lm_g])
-    return left * f - right * g
+    out: dict[Monomial, Fraction] = {}
+    _accumulate(out, f._left_terms(lcm.quotient(lm_f), 1 / f.terms[lm_f]))
+    _accumulate(out, g._left_terms(lcm.quotient(lm_g), -1 / g.terms[lm_g]))
+    return f._make(out)
 
 
 def _may_skip_pair(f: SparseElement, g: SparseElement) -> bool:

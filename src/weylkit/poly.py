@@ -20,7 +20,7 @@ class Poly(SparseElement):
     __slots__ = ()
 
     def _term_product(self, m1: Monomial, m2: Monomial):
-        yield m1.mul(m2), Fraction(1)
+        yield m1.mul(m2), 1
 
     def __str__(self) -> str:
         return format_terms(self, "zeta")

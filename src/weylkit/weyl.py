@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable
@@ -19,16 +20,19 @@ from .monomial import Monomial, d_monomial, z_monomial
 from .poly import Poly
 
 
-def _reorder_one_variable(p: int, q: int) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=256)
+def _reorder_one_variable(p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     """Rewrite d^p z^q in normal order for a single variable.
 
-    Returns triples (coeff, zpow, dpow) with
-    d^p z^q = sum_k k! C(p,k) C(q,k) z^(q-k) d^(p-k).
+    Returns a tuple of int triples (coeff, zpow, dpow) with
+    d^p z^q = sum_k k! C(p,k) C(q,k) z^(q-k) d^(p-k).  Rows are shared by
+    every product that meets the same (p, q); the cache is bounded so that
+    huge exponents cannot grow it without limit.
     """
-    out = []
-    for k in range(min(p, q) + 1):
-        out.append((factorial(k) * comb(p, k) * comb(q, k), q - k, p - k))
-    return out
+    return tuple(
+        (factorial(k) * comb(p, k) * comb(q, k), q - k, p - k)
+        for k in range(min(p, q) + 1)
+    )
 
 
 class WeylElement(SparseElement):
@@ -38,19 +42,16 @@ class WeylElement(SparseElement):
 
     def _term_product(self, m1: Monomial, m2: Monomial):
         # (z^a d^b)(z^c d^e): push each d_i^{b_i} through z_i^{c_i}.
-        per_variable = [
-            _reorder_one_variable(m1.dexp[i], m2.zexp[i])
-            for i in range(self.ambient)
-        ]
-        for choice in itertools.product(*per_variable):
+        rows = map(_reorder_one_variable, m1.dexp, m2.zexp)
+        for choice in itertools.product(*rows):
             coeff = 1
-            zexp = list(m1.zexp)
-            dexp = list(m2.dexp)
-            for i, (c, zp, dp) in enumerate(choice):
+            zexp = []
+            dexp = []
+            for (c, zp, dp), a, e in zip(choice, m1.zexp, m2.dexp):
                 coeff *= c
-                zexp[i] += zp
-                dexp[i] += dp
-            yield Monomial(tuple(zexp), tuple(dexp)), Fraction(coeff)
+                zexp.append(a + zp)
+                dexp.append(e + dp)
+            yield Monomial(tuple(zexp), tuple(dexp)), coeff
 
     def __str__(self) -> str:
         return format_terms(self, "d")

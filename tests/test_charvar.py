@@ -6,6 +6,9 @@ count of standard monomials: for a graded quotient of dimension k the
 multiplicity and the k-th vanishes.
 """
 
+import random
+from math import comb
+
 import pytest
 
 from conftest import SEEDS
@@ -22,6 +25,7 @@ from weylkit import (
     principal_symbol,
     simplicity_certificate,
 )
+from weylkit.charvar import _hilbert_numerator
 from weylkit.weyl import WeylElement
 
 
@@ -131,3 +135,25 @@ def test_characteristic_dimension_shortcut():
 
 def test_bernstein_inequality_on_random_ideals():
     assert check_bernstein_inequality(SEEDS["bernstein"], rounds=12) >= 1
+
+
+@pytest.mark.parametrize("slots", [4, 6])
+def test_hilbert_numerator_matches_counting(slots):
+    # numerator / (1 - t)^slots, expanded up to dmax, counts the standard
+    # monomials degree by degree.
+    rng = random.Random(f"weylkit-hilbert-numerator:{slots}")
+    dmax = 8
+    for _ in range(25):
+        gens = [
+            tuple(rng.randint(0, 3) for _ in range(slots))
+            for _ in range(rng.randint(1, 6))
+        ]
+        numerator = _hilbert_numerator(gens)
+        series = [
+            sum(
+                c * comb(degree - i + slots - 1, slots - 1)
+                for i, c in enumerate(numerator[: degree + 1])
+            )
+            for degree in range(dmax + 1)
+        ]
+        assert series == hilbert_by_counting(gens, slots, dmax)

@@ -223,6 +223,19 @@ def test_reduce_element_on_an_unreduced_basis_matches_oracle():
         assert reduce_element(x, basis, track=True) == naive_reduce(x, basis)
 
 
+def test_reduce_element_matches_oracle_when_product_terms_cancel():
+    # Quotients carrying d1 multiply z1*d1 - 1 into repeated d1-terms that
+    # cancel inside one division step.
+    basis = [parse_expression(t, ambient=2) for t in ("z1*d1 - 1", "d2^2 - z2", "z1^2*d2 + d1")]
+    rng = random.Random("weylkit-division-oracle:cancelling")
+    for _ in range(30):
+        x = random_element(rng, 2, terms=4, max_exp=3)
+        remainder, cofactors = reduce_element(x, basis, track=True)
+        assert (remainder, cofactors) == naive_reduce(x, basis)
+        assert sum((q * g for q, g in zip(cofactors, basis)), remainder) == x
+        assert all(c for _, c in remainder)
+
+
 def test_cached_leading_monomial_matches_a_rescan():
     rng = random.Random("weylkit-leading-cache")
 

@@ -25,7 +25,7 @@ from weylkit import (
     weyl_from_poly,
 )
 from weylkit.poly import Poly, poly_z, poly_zeta
-from weylkit.weyl import PartialFourierSpec, d, normalize, z
+from weylkit.weyl import PartialFourierSpec, _reorder_one_variable, d, normalize, z
 
 
 def test_defining_relation():
@@ -58,6 +58,50 @@ def test_power_reordering_closed_form():
                 Monomial((q - k,), (p - k,)), coeff
             )
         assert product == expected
+
+
+def test_reorder_rows_are_cached_bounded_and_match_the_closed_form():
+    assert _reorder_one_variable.cache_info().maxsize is not None
+    for p in range(7):
+        for q in range(7):
+            row = _reorder_one_variable(p, q)
+            assert isinstance(row, tuple)
+            assert row == tuple(
+                (factorial(k) * comb(p, k) * comb(q, k), q - k, p - k)
+                for k in range(min(p, q) + 1)
+            )
+            assert all(type(c) is int for c, _, _ in row)
+            if p <= 4 and q <= 4:
+                word = (("d", 1),) * p + (("z", 1),) * q
+                assert {Monomial((zp,), (dp,)): c for c, zp, dp in row} == oracle_normal_form(word, 1)
+
+
+@pytest.mark.parametrize("ambient", [1, 2, 3])
+def test_left_terms_sum_to_the_product(ambient):
+    rng = random.Random(f"weylkit-left-terms:{ambient}")
+    for _ in range(30):
+        g = random_element(rng, ambient, max_exp=3)
+        mono = Monomial(
+            tuple(rng.randint(0, 3) for _ in range(ambient)),
+            tuple(rng.randint(0, 3) for _ in range(ambient)),
+        )
+        coeff = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+        for kind in (WeylElement, Poly):
+            element = kind(ambient, g.terms)
+            summed = kind(ambient, list(element._left_terms(mono, coeff)))
+            assert summed == kind.from_monomial(mono, coeff) * element
+            for m2 in element.terms:
+                assert all(type(k) is int for _, k in element._term_product(mono, m2))
+
+
+def test_product_whose_repeated_terms_cancel():
+    # d1 (z1 d1 - 1) = z1 d1^2 + d1 - d1: the two d1 terms cancel.
+    f = z(1, 1) * d(1, 1) - 1
+    terms = list(f._left_terms(Monomial((0,), (1,)), Fraction(1)))
+    assert len(terms) == 3 and len({mono for mono, _ in terms}) == 2
+    product = d(1, 1) * f
+    assert dict(product.terms) == {Monomial((1,), (2,)): 1}
+    assert product.leading_monomial() == Monomial((1,), (2,))
 
 
 def test_normalize_matches_oracle():
