@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import perm
 from typing import Sequence
 
-from .base import Scalar, format_terms
+from .base import Scalar, _accumulate, format_terms
 from .charvar import HolonomicityCertificate, simplicity_certificate
 from .groebner import LeftIdeal
 from .monomial import Monomial
@@ -105,12 +105,19 @@ def act(op: WeylElement, section: DeltaSection) -> DeltaSection:
     if op.ambient != m:
         raise ValueError("operator and section ambient mismatch")
     out: dict[Monomial, Fraction] = {}
+    _accumulate(out, _act_terms(op, module, section.data))
+    return DeltaSection(module, Poly(m, out))
+
+
+def _act_terms(op: WeylElement, module: DeltaModule, data: Poly):
+    """The terms of ``act``, one per pair of operator and section terms, with
+    monomials that may repeat."""
+    m = module.ambient
     for omono, ocoeff in op:
-        for smono, scoeff in section.data:
+        for smono, scoeff in data:
             coeff = ocoeff * scoeff
             alpha = list(smono.zexp)
             beta = list(smono.dexp)
-            dead = False
             for slot in range(m):
                 a = omono.zexp[slot]
                 b = omono.dexp[slot]
@@ -119,9 +126,8 @@ def act(op: WeylElement, section: DeltaSection) -> DeltaSection:
                     if a:
                         fall = perm(order, a)
                         if fall == 0:
-                            dead = True
                             break
-                        coeff *= Fraction((-1) ** a * fall)
+                        coeff *= (-1) ** a * fall
                         order -= a
                     beta[slot] = order
                 else:
@@ -129,20 +135,12 @@ def act(op: WeylElement, section: DeltaSection) -> DeltaSection:
                     if b:
                         fall = perm(power, b)
                         if fall == 0:
-                            dead = True
                             break
                         coeff *= fall
                         power -= b
                     alpha[slot] = power + a
-            if dead:
-                continue
-            mono = Monomial(tuple(alpha), tuple(beta))
-            acc = out.get(mono, Fraction(0)) + coeff
-            if acc:
-                out[mono] = acc
             else:
-                out.pop(mono, None)
-    return DeltaSection(module, Poly(m, out))
+                yield Monomial(tuple(alpha), tuple(beta)), coeff
 
 
 def section_from_operator(module: DeltaModule, op: WeylElement) -> DeltaSection:
@@ -165,13 +163,16 @@ def delta_to_polynomial(section: DeltaSection) -> Poly:
     """Dictionary z^a d^b delta -> (-1)^|b| z^a z^b onto plain polynomials."""
     m = section.module.ambient
     out: dict[Monomial, Fraction] = {}
-    for mono, coeff in section.data:
-        order = sum(mono.dexp)
-        target = Monomial(
-            tuple(z + dd for z, dd in zip(mono.zexp, mono.dexp)),
-            (0,) * m,
-        )
-        out[target] = out.get(target, Fraction(0)) + coeff * (-1) ** order
+    _accumulate(
+        out,
+        (
+            (
+                Monomial(tuple(z + dd for z, dd in zip(mono.zexp, mono.dexp)), (0,) * m),
+                coeff * (-1) ** sum(mono.dexp),
+            )
+            for mono, coeff in section.data
+        ),
+    )
     return Poly(m, out)
 
 

@@ -3,11 +3,15 @@
 Everything runs under the one degrevlex term order of ``orders``.  Division
 and Buchberger run identically in both rings because leading monomials stay
 multiplicative: every noncommutative correction term is a proper divisor of
-the commutative product, hence strictly smaller under the term order.  The
-only place the two modes differ is the pair-skipping criterion, which is
-unsound in the operator ring unless the two generators actually commute
-(disjoint variable support); the coprime-leading-monomial shortcut alone
-fails already for the pair (d1, z1).
+the commutative product, hence strictly smaller under the term order.  So
+the syzygies of the leading terms are the commutative ones, and Buchberger's
+chain criterion holds in both rings.  The product criterion (coprime leading
+monomials) holds only for generators that commute, which disjoint variable
+support guarantees; the coprime shortcut alone fails already for the pair
+(d1, z1).
+
+Chain criterion in G-algebras: V. Levandovskyy, PhD thesis, Kaiserslautern 2005.
+Pair update: R. Gebauer and H. M. Moeller, J. Symbolic Comput. 6 (1988).
 """
 
 from __future__ import annotations
@@ -148,11 +152,18 @@ def _may_skip_pair(f: SparseElement, g: SparseElement) -> bool:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced left Groebner basis, monic, sorted ascending by leading monomial."""
+    """Reduced left Groebner basis, monic, sorted ascending by leading monomial.
+
+    The counters describe the Buchberger run that built it: S-pairs reduced,
+    how many of those reduced to zero, and pairs skipped by the chain and by
+    the product (commuting generators) criterion.
+    """
 
     elements: tuple[SparseElement, ...]
     pairs_processed: int
     reductions_to_zero: int
+    pairs_skipped_chain: int
+    pairs_skipped_commuting: int
 
     @property
     def ambient(self) -> int:
@@ -194,14 +205,27 @@ class GroebnerBasis:
 def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     """Reduced left Groebner basis of the left ideal spanned by ``generators``.
 
-    Pairs are processed in normal-selection order (lcm degree, then the term
-    order on the lcm, then age).  A pair budget from the WEYLKIT_GB_MAX_PAIRS
-    environment variable aborts runaway computations.
+    Each new basis element h enters through Gebauer and Moeller's update:
+
+    * an old pending pair (i, j) is dropped when lm_h divides lcm(i, j) and
+      lcm(i, h), lcm(j, h) both differ from it;
+    * a new pair (i, h) is dropped when another new pair's lcm properly
+      divides lcm(i, h); of new pairs with equal lcms only one is kept;
+    * a new pair of commuting generators with coprime leading monomials is
+      skipped by the product criterion, and drops every new pair whose lcm
+      its lcm divides;
+    * an element whose leading monomial h's divides gets no further pairs.
+
+    The remaining pairs are reduced in normal-selection order (the term order
+    on the lcm, then age).  Every pair of basis elements is counted once:
+    in ``pairs_processed`` when reduced, else in ``pairs_skipped_chain`` or
+    ``pairs_skipped_commuting``.  A budget of reduced pairs from the
+    WEYLKIT_GB_MAX_PAIRS environment variable aborts runaway computations.
     """
     limit = _pair_limit()
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return GroebnerBasis((), 0, 0)
+        return GroebnerBasis((), 0, 0, 0, 0)
     kind = type(gens[0])
     ambient = gens[0].ambient
     for g in gens:
@@ -210,40 +234,76 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
         if g.ambient != ambient:
             raise ValueError("ambient mismatch in generators")
 
-    basis = [g.monic() for g in gens]
-    leading = _division_data(basis, kind, ambient)
-    queue: list[tuple[int, tuple, int, int]] = []
+    order_key = DEFAULT_ORDER.key
+    basis: list[SparseElement] = []
+    leading: list[tuple[Monomial, Fraction]] = []
+    # Indices whose leading monomial no later one divides: only these get new pairs.
+    active: list[int] = []
+    pending: dict[tuple[int, int], Monomial] = {}
+    queue: list[tuple[tuple, int, int]] = []
+    chain = commuting = 0
 
-    def push_pairs(j: int) -> None:
-        lm_j = basis[j].leading_monomial()
-        for i in range(j):
-            lcm = basis[i].leading_monomial().lcm(lm_j)
-            heapq.heappush(queue, (lcm.total_degree(), DEFAULT_ORDER.key(lcm), i, j))
+    def insert(h: SparseElement) -> None:
+        nonlocal active, chain, commuting
+        h = h.monic()
+        lm_h = h.leading_monomial()
+        j = len(basis)
+        for (i, k), lcm in list(pending.items()):
+            if (
+                lm_h.divides(lcm)
+                and leading[i][0].lcm(lm_h) != lcm
+                and leading[k][0].lcm(lm_h) != lcm
+            ):
+                del pending[i, k]
+                chain += 1
+        chain += j - len(active)
+        minimal: list[Monomial] = []
+        candidates = []
+        for i in active:
+            lcm = leading[i][0].lcm(lm_h)
+            if _may_skip_pair(basis[i], h):
+                commuting += 1
+                minimal.append(lcm)
+            else:
+                candidates.append((order_key(lcm), i, lcm))
+        # Ascending in the term order, every proper divisor comes first.
+        candidates.sort()
+        for key, i, lcm in candidates:
+            if any(m.divides(lcm) for m in minimal):
+                chain += 1
+                continue
+            minimal.append(lcm)
+            pending[i, j] = lcm
+            heapq.heappush(queue, (key, i, j))
+        active = [i for i in active if not lm_h.divides(leading[i][0])]
+        active.append(j)
+        basis.append(h)
+        leading.append((lm_h, h.leading_coefficient()))
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for g in gens:
+        insert(g)
 
     processed = 0
     zero_reductions = 0
     while queue:
-        _, _, i, j = heapq.heappop(queue)
+        _, i, j = heapq.heappop(queue)
+        if pending.pop((i, j), None) is None:
+            continue
         processed += 1
         if limit is not None and processed > limit:
             raise PairLimitExceeded(
                 f"Groebner pair budget of {limit} exhausted "
                 f"(set {PAIR_LIMIT_ENV} to raise it)"
             )
-        if _may_skip_pair(basis[i], basis[j]):
-            continue
         remainder = _divide(s_polynomial(basis[i], basis[j]), basis, leading, False)
         if remainder.is_zero():
             zero_reductions += 1
-            continue
-        basis.append(remainder.monic())
-        leading += _division_data(basis[-1:], kind, ambient)
-        push_pairs(len(basis) - 1)
+        else:
+            insert(remainder)
 
-    return GroebnerBasis(tuple(_interreduce(basis)), processed, zero_reductions)
+    return GroebnerBasis(
+        tuple(_interreduce(basis)), processed, zero_reductions, chain, commuting
+    )
 
 
 def _interreduce(basis: list[SparseElement]) -> list[SparseElement]:

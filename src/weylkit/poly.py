@@ -49,7 +49,8 @@ class Poly(SparseElement):
                 new = Monomial(tuple(lowered), mono.dexp)
             else:
                 new = Monomial(mono.zexp, tuple(lowered))
-            out[new] = out.get(new, Fraction(0)) + coeff * e
+            # Lowering one exponent is injective, so no two terms meet here.
+            out[new] = coeff * e
         return Poly(self.ambient, out)
 
     def evaluate(self, zvals: Sequence[Scalar], zetavals: Sequence[Scalar]) -> Fraction:

@@ -60,14 +60,6 @@ class WeylElement(SparseElement):
         return f"WeylElement({self.ambient}, {self!s})"
 
 
-def weyl_zero(ambient: int) -> WeylElement:
-    return WeylElement.zero(ambient)
-
-
-def weyl_one(ambient: int) -> WeylElement:
-    return WeylElement.one(ambient)
-
-
 def weyl_constant(value: Scalar, ambient: int) -> WeylElement:
     return WeylElement.constant(value, ambient)
 

@@ -8,6 +8,8 @@ The oracles deliberately avoid the engine's closed-form algorithms:
   multiplication,
 * left division is recomputed by the textbook loop that rescans for the
   leading term and rebuilds the element after every step,
+* Groebner bases are recomputed by Buchberger's algorithm with no pair
+  criterion, reducing every S-pair,
 * the Lie layer is recomputed densely: flattened matrices, span tests by
   comparing ``rank``, coordinates by ``solve`` and brackets by ``mat_mul``.
 
@@ -17,6 +19,7 @@ the exact same assertions from the same documented seeds.
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -36,6 +39,7 @@ from weylkit import (
     s_polynomial,
     section_from_operator,
 )
+from weylkit.groebner import _interreduce
 from weylkit.linalg import mat_mul, rank, solve
 from weylkit.weyl import PartialFourierSpec, d as d_op, z as z_op
 
@@ -235,6 +239,33 @@ def naive_reduce(element, basis):
     return remainder, cofactors
 
 
+def textbook_buchberger(generators) -> tuple:
+    """Reduced left Groebner basis with no pair criterion.
+
+    Every S-pair of every two basis elements is reduced, the pair with the
+    smallest lcm first; a nonzero remainder joins the basis and pairs with
+    all earlier elements.  Only the final interreduction is the engine's.
+    """
+    basis = [g.monic() for g in generators if not g.is_zero()]
+    pairs: list = []
+
+    def add_pairs(j: int) -> None:
+        lm = basis[j].leading_monomial()
+        for i in range(j):
+            lcm = basis[i].leading_monomial().lcm(lm)
+            heapq.heappush(pairs, (DEFAULT_ORDER.key(lcm), i, j))
+
+    for j in range(len(basis)):
+        add_pairs(j)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        remainder = reduce_element(s_polynomial(basis[i], basis[j]), basis)
+        if not remainder.is_zero():
+            basis.append(remainder.monic())
+            add_pairs(len(basis) - 1)
+    return tuple(_interreduce(basis)) if basis else ()
+
+
 # -- Dense oracles for the Lie layer ------------------------------------------
 
 def flatten(mat) -> list[Fraction]:
@@ -307,7 +338,7 @@ def check_bernstein_inequality(seed: str, ambient: int = 2, rounds: int = 12) ->
     rng = random.Random(seed)
     verified = 0
     previous = os.environ.get(PAIR_LIMIT_ENV)
-    os.environ[PAIR_LIMIT_ENV] = "100"
+    os.environ[PAIR_LIMIT_ENV] = "60"
     try:
         for _ in range(rounds):
             generators = [

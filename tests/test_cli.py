@@ -182,8 +182,10 @@ def test_unknown_ideal_name_errors(capsys):
 
 
 def test_exhausted_pair_budget_exits_two(capsys, monkeypatch):
+    # The budget counts reduced S-pairs: I1l reduces two, while I3's
+    # generators commute pairwise, so all its pairs are skipped.
     monkeypatch.setenv("WEYLKIT_GB_MAX_PAIRS", "1")
-    code, _, err = run(capsys, "gb", "paper-n2", "I3")
+    code, _, err = run(capsys, "gb", "paper-n2", "I1l", "--l", "1")
     assert code == 2
     assert err.startswith("error:")
     assert "WEYLKIT_GB_MAX_PAIRS" in err

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from helpers import check_groebner_spairs, naive_reduce, random_element
+from helpers import check_groebner_spairs, naive_reduce, random_element, textbook_buchberger
 from weylkit import (
     DEFAULT_ORDER,
     LeftIdeal,
@@ -161,6 +161,64 @@ def test_pair_limit_env(monkeypatch):
         buchberger(gens)
     monkeypatch.delenv("WEYLKIT_GB_MAX_PAIRS")
     buchberger(gens)
+
+
+def test_pair_limit_counts_only_reduced_pairs(monkeypatch, n3_scenario):
+    gens = list(n3_scenario.ideal("I1l", {"l": 1}).generators)
+    basis = buchberger(gens)
+    assert basis.pairs_skipped_chain + basis.pairs_skipped_commuting > 0
+    monkeypatch.setenv("WEYLKIT_GB_MAX_PAIRS", str(basis.pairs_processed))
+    assert buchberger(gens) == basis
+    monkeypatch.setenv("WEYLKIT_GB_MAX_PAIRS", str(basis.pairs_processed - 1))
+    with pytest.raises(PairLimitExceeded):
+        buchberger(gens)
+
+
+def test_every_pair_is_reduced_or_skipped_by_one_criterion(n3_scenario):
+    gens = [g for g in n3_scenario.ideal("I1l", {"l": 1}).generators if not g.is_zero()]
+    basis = buchberger(gens)
+    assert basis.pairs_skipped_chain > 0
+    assert basis.pairs_skipped_commuting > 0
+    # Every element the run ever held: the generators and each nonzero remainder.
+    held = len(gens) + basis.pairs_processed - basis.reductions_to_zero
+    assert (
+        basis.pairs_processed + basis.pairs_skipped_chain + basis.pairs_skipped_commuting
+        == held * (held - 1) // 2
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario, name, l",
+    [("n2_scenario", "I1l", l) for l in range(4)]
+    + [("n2_scenario", "I3", None)]
+    + [("n3_scenario", "I1l", l) for l in range(3)],
+)
+def test_buchberger_matches_criterion_free_oracle(request, scenario, name, l):
+    ideal = request.getfixturevalue(scenario).ideal(name, {} if l is None else {"l": l})
+    gens = list(ideal.generators)
+    assert buchberger(gens).elements == textbook_buchberger(gens)
+    assert check_groebner_spairs(gens) >= 1
+
+
+def test_buchberger_matches_criterion_free_oracle_on_random_ideals(monkeypatch):
+    # Random ideals in two variables can blow up; those draws are skipped
+    # under a pair budget, and most draws must still be compared.
+    monkeypatch.setenv("WEYLKIT_GB_MAX_PAIRS", "60")
+    rng = random.Random("weylkit-criterion-free-oracle")
+    compared = 0
+    for k in range(24):
+        gens = [random_element(rng, 2, terms=2, max_exp=2) for _ in range(rng.randint(2, 3))]
+        if k % 2:
+            gens = [Poly(2, g.terms) for g in gens]
+        try:
+            basis = buchberger(gens)
+        except PairLimitExceeded:
+            continue
+        assert basis.elements == textbook_buchberger(gens), [str(g) for g in gens]
+        if basis.elements:
+            check_groebner_spairs(gens)
+        compared += 1
+    assert compared >= 20
 
 
 def test_pair_limit_rejects_garbage(monkeypatch):
