@@ -1,17 +1,19 @@
 """Characteristic varieties: graded ideals, dimension, multiplicity, simplicity.
 
 Everything is measured through the total-degree filtration on the operator
-ring.  The graded ideal of a left ideal is generated by the principal symbols
-of a Groebner basis under the degree-compatible term order; dimension and
-multiplicity then come from the commutative leading-term ideal.
+ring.  Degrevlex refines total degree, so each principal symbol keeps the
+leading monomial of its operator, and the symbols of a Groebner basis are a
+Groebner basis of the graded ideal (Saito-Sturmfels-Takayama, Groebner
+Deformations of Hypergeometric Differential Equations, 2000, section 1.1).
+So Buchberger runs once, on the operators, and dimension and multiplicity
+then come from the commutative leading-term ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .groebner import GroebnerBasis, LeftIdeal
+from .groebner import GroebnerBasis, LeftIdeal, _ideal_from_reduced_basis
 from .poly import Poly, poly_z, poly_zeta
 from .weyl import principal_symbol
 
@@ -31,11 +33,12 @@ class ImproperIdealError(ValueError):
 
 
 def graded_ideal(ideal: LeftIdeal) -> LeftIdeal:
-    """Commutative ideal of principal symbols of ``ideal``.
+    """Commutative ideal of principal symbols of ``ideal``, with its basis.
 
-    The symbols of a reduced Groebner basis for the degree-compatible term
-    order generate the full graded ideal, and they are themselves a reduced
-    basis, so the returned ideal is ready for dimension counting.
+    The symbols of the reduced operator basis keep its leading monomials and
+    a subset of its terms, so they are the reduced Groebner basis of the
+    graded ideal.  The returned ideal holds that basis already; its pair
+    counters are 0 because no Buchberger run built it.
     """
     _require_operator(ideal)
     if ideal.is_unit():
@@ -43,7 +46,7 @@ def graded_ideal(ideal: LeftIdeal) -> LeftIdeal:
     basis = ideal.groebner_basis()
     if not basis.elements:
         return LeftIdeal([Poly.zero(ideal.ambient)])
-    return LeftIdeal([principal_symbol(g) for g in basis.elements])
+    return _ideal_from_reduced_basis([principal_symbol(g) for g in basis.elements])
 
 
 def _slot_name(slot: int, m: int) -> str:
@@ -55,22 +58,53 @@ def _independent_analysis(basis: GroebnerBasis, m: int) -> tuple[int, list[froze
 
     A subset T of the 2m slots is independent when no leading monomial lives
     entirely on T; the maximum size is the Krull dimension of the quotient.
+    The complements of the largest T are the smallest slot sets meeting every
+    support, found by branching on an unmet support with iterative deepening.
     """
-    supports = []
+    supports = set()
     for lm in basis.leading_monomials():
-        supports.append(frozenset(i for i, e in enumerate(lm.slots()) if e))
-    if frozenset() in supports:
+        mask = 0
+        for i, e in enumerate(lm.slots()):
+            if e:
+                mask |= 1 << i
+        supports.add(mask)
+    if 0 in supports:
         return -1, []  # unit ideal, empty variety
-    slots = range(2 * m)
-    for size in range(2 * m, -1, -1):
-        found = [
-            frozenset(T)
-            for T in combinations(slots, size)
-            if not any(s <= frozenset(T) for s in supports)
-        ]
-        if found:
-            return size, found
-    return -1, []
+    # Only inclusion-minimal supports constrain a cover; smallest first, so
+    # the first unmet one branches least.
+    minimal = sorted(
+        (s for s in supports if not any(t != s and t & s == t for t in supports)),
+        key=int.bit_count,
+    )
+    covers: list[int] = []
+
+    def cover(chosen: int, banned: int, budget: int) -> None:
+        for s in minimal:
+            if not s & chosen:
+                break
+        else:
+            covers.append(chosen)
+            return
+        if not budget:
+            return
+        # Branch on each allowed slot of s; later branches ban the earlier
+        # slots, so every cover is reached along exactly one path.
+        free = s & ~banned
+        while free:
+            bit = free & -free
+            cover(chosen | bit, banned, budget - 1)
+            banned |= bit
+            free ^= bit
+
+    size = -1
+    while not covers:
+        size += 1
+        cover(0, 0, size)
+    full = (1 << 2 * m) - 1
+    found = sorted(
+        tuple(i for i in range(2 * m) if (full ^ c) >> i & 1) for c in covers
+    )
+    return 2 * m - size, [frozenset(T) for T in found]
 
 
 def krull_dimension(graded: LeftIdeal) -> int:
@@ -90,10 +124,11 @@ def krull_dimension(graded: LeftIdeal) -> int:
 # Numerators are dense integer coefficient lists in the series variable.
 
 
-def _poly_sub_shifted(a: list[int], b: list[int], shift: int) -> list[int]:
+def _poly_add_shifted(a: list[int], b: list[int], shift: int) -> list[int]:
+    """a + t^shift * b."""
     out = list(a) + [0] * max(0, shift + len(b) - len(a))
     for i, c in enumerate(b):
-        out[shift + i] -= c
+        out[shift + i] += c
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
@@ -113,10 +148,15 @@ def _poly_divide_one_minus_t(a: list[int]) -> list[int] | None:
 
 
 def _interreduce_monomials(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    gens = sorted(set(gens), key=lambda g: (sum(g), g))
     kept: list[tuple[int, ...]] = []
-    for g in gens:
-        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+    for g in sorted(set(gens), key=lambda g: (sum(g), g)):
+        for h in kept:
+            for a, b in zip(h, g):
+                if a > b:
+                    break
+            else:
+                break  # h divides g
+        else:
             kept.append(g)
     return kept
 
@@ -124,8 +164,10 @@ def _interreduce_monomials(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]
 def _hilbert_numerator(gens: list[tuple[int, ...]]) -> list[int]:
     """Numerator of the Hilbert series of R/(gens) over (1-t)^slots.
 
-    The recursion H(I) = H(rest) - t^deg(g) H(rest : g) meets the same
-    ideals many times over, so one call memoises them by their interreduced
+    Bigatti's pivot (J. Pure Appl. Algebra 119, 1997): with p = x^e, x the
+    slot most generators share and e their median exponent there,
+    N(I) = N(I + p) + t^e N(I : p); pairwise coprime generators give
+    prod(1 - t^deg g).  One call memoises ideals by their interreduced
     generators.
     """
     memo: dict[tuple[tuple[int, ...], ...], list[int]] = {}
@@ -135,15 +177,24 @@ def _hilbert_numerator(gens: list[tuple[int, ...]]) -> list[int]:
         known = memo.get(key)
         if known is not None:
             return known
-        if not key:
+        counts = [0] * len(key[0]) if key else []
+        for g in key:
+            for i, e in enumerate(g):
+                if e:
+                    counts[i] += 1
+        if max(counts, default=0) <= 1:
             known = [1]
-        elif all(e == 0 for e in key[0]):
-            known = [0]
+            for g in key:
+                known = _poly_add_shifted(known, [-c for c in known], sum(g))
         else:
-            g = key[-1]
-            rest = list(key[:-1])
-            colon = [tuple(max(a - b, 0) for a, b in zip(h, g)) for h in rest]
-            known = _poly_sub_shifted(numerator(rest), numerator(colon), sum(g))
+            x = counts.index(max(counts))
+            # A minimal generator that is a pure power of x has a larger
+            # exponent there than every other one, so p is not in I.
+            exps = sorted(g[x] for g in key if g[x] and g[x] != sum(g))
+            e = exps[len(exps) // 2]
+            power = tuple(e if i == x else 0 for i in range(len(counts)))
+            colon = [g[:x] + (max(g[x] - e, 0),) + g[x + 1 :] for g in key]
+            known = _poly_add_shifted(numerator([*key, power]), numerator(colon), e)
         memo[key] = known
         return known
 

@@ -307,31 +307,36 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
 
 
 def _interreduce(basis: list[SparseElement]) -> list[SparseElement]:
-    def lead_key(g: SparseElement):
-        return DEFAULT_ORDER.key(g.leading_monomial())
+    """Reduced basis from a Groebner basis, in one ascending pass.
 
-    # Minimal first: drop anything whose leading monomial another one divides.
-    minimal: list[SparseElement] = []
-    for g in sorted(basis, key=lead_key):
+    Every tail term of an element lies below its leading monomial, so only
+    smaller leading monomials can divide it: each minimal element is divided
+    by the smaller, already reduced ones and then joins them.
+    """
+    reduced: list[SparseElement] = []
+    leading: list[tuple[Monomial, Fraction]] = []
+    for g in sorted(basis, key=lambda g: DEFAULT_ORDER.key(g.leading_monomial())):
         lm = g.leading_monomial()
-        if not any(h.leading_monomial().divides(lm) for h in minimal):
-            minimal.append(g)
-    # Then tail-reduce each against the rest until nothing moves.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
-            if not others:
-                continue
-            replacement = reduce_element(minimal[i], others)
-            if replacement.is_zero():
-                raise AssertionError("minimal basis element reduced to zero")
-            replacement = replacement.monic()
-            if replacement != minimal[i]:
-                minimal[i] = replacement
-                changed = True
-    return sorted(minimal, key=lead_key)
+        # Minimal first: drop anything whose leading monomial another one divides.
+        if any(h.divides(lm) for h, _ in leading):
+            continue
+        g = _divide(g, reduced, leading, False)
+        if g.is_zero() or g.leading_monomial() != lm:
+            raise AssertionError("minimal basis element lost its leading term")
+        g = g.monic()
+        reduced.append(g)
+        leading.append((lm, g.leading_coefficient()))
+    return reduced
+
+
+def _ideal_from_reduced_basis(elements: Sequence[SparseElement]) -> "LeftIdeal":
+    """Left ideal whose generators already are its reduced Groebner basis.
+
+    No Buchberger run builds the basis, so its pair counters are all 0.
+    """
+    ideal = LeftIdeal(elements)
+    ideal._basis = GroebnerBasis(tuple(elements), 0, 0, 0, 0)
+    return ideal
 
 
 class LeftIdeal:

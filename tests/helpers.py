@@ -3,13 +3,16 @@
 The oracles deliberately avoid the engine's closed-form algorithms:
 
 * normal ordering is recomputed by one-swap rewriting on generator words,
-* Hilbert data is recomputed by brute-force counting of standard monomials,
+* Hilbert data is recomputed by brute-force counting of standard monomials
+  and by the recursion on the largest generator,
+* independent slot sets are recomputed by trying every subset of the slots,
 * the action on polynomials is recomputed with ``Poly.derivative`` and
   multiplication,
 * left division is recomputed by the textbook loop that rescans for the
   leading term and rebuilds the element after every step,
 * Groebner bases are recomputed by Buchberger's algorithm with no pair
-  criterion, reducing every S-pair,
+  criterion, reducing every S-pair, and interreduced by tail-reducing every
+  element against all others until nothing moves,
 * the Lie layer is recomputed densely: flattened matrices, span tests by
   comparing ``rank``, coordinates by ``solve`` and brackets by ``mat_mul``.
 
@@ -39,7 +42,6 @@ from weylkit import (
     s_polynomial,
     section_from_operator,
 )
-from weylkit.groebner import _interreduce
 from weylkit.linalg import mat_mul, rank, solve
 from weylkit.weyl import PartialFourierSpec, d as d_op, z as z_op
 
@@ -159,6 +161,57 @@ def hilbert_by_counting(
     return [count_standard_monomials(leading, slots, d) for d in range(dmax + 1)]
 
 
+def hilbert_numerator_by_largest_generator(gens: list[tuple[int, ...]]) -> list[int]:
+    """Hilbert numerator by H(I) = H(rest) - t^deg(g) H(rest : g), where g is
+    the largest of the interreduced generators (sorted by degree, then slots)."""
+
+    def interreduce(gens):
+        kept = []
+        for g in sorted(set(gens), key=lambda g: (sum(g), g)):
+            if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+                kept.append(g)
+        return kept
+
+    def sub_shifted(a, b, shift):
+        out = list(a) + [0] * max(0, shift + len(b) - len(a))
+        for i, c in enumerate(b):
+            out[shift + i] -= c
+        while len(out) > 1 and out[-1] == 0:
+            out.pop()
+        return out
+
+    def numerator(gens):
+        key = interreduce(gens)
+        if not key:
+            return [1]
+        if not any(key[0]):
+            return [0]
+        g, rest = key[-1], key[:-1]
+        colon = [tuple(max(a - b, 0) for a, b in zip(h, g)) for h in rest]
+        return sub_shifted(numerator(rest), numerator(colon), sum(g))
+
+    return numerator(gens)
+
+
+def independent_sets_by_enumeration(
+    leading: list[tuple[int, ...]], slots: int
+) -> tuple[int, list[frozenset[int]]]:
+    """Largest slot subsets containing no leading support, by trying every
+    subset from the largest size down; (-1, []) for the unit ideal."""
+    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in leading]
+    if frozenset() in supports:
+        return -1, []
+    for size in range(slots, -1, -1):
+        found = [
+            frozenset(T)
+            for T in combinations(range(slots), size)
+            if not any(s <= frozenset(T) for s in supports)
+        ]
+        if found:
+            return size, found
+    return -1, []
+
+
 def finite_difference(values: list[int], order: int) -> list[int]:
     out = list(values)
     for _ in range(order):
@@ -239,12 +292,40 @@ def naive_reduce(element, basis):
     return remainder, cofactors
 
 
+def fixpoint_interreduce(basis):
+    """Reduced basis: drop elements whose leading monomial an earlier one
+    divides, then tail-reduce each element against all the others, sweep
+    after sweep, until nothing moves."""
+    def lead_key(g):
+        return DEFAULT_ORDER.key(g.leading_monomial())
+
+    minimal = []
+    for g in sorted(basis, key=lead_key):
+        lm = g.leading_monomial()
+        if not any(h.leading_monomial().divides(lm) for h in minimal):
+            minimal.append(g)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(minimal)):
+            others = minimal[:i] + minimal[i + 1 :]
+            if not others:
+                continue
+            replacement = reduce_element(minimal[i], others)
+            assert not replacement.is_zero(), "minimal basis element reduced to zero"
+            replacement = replacement.monic()
+            if replacement != minimal[i]:
+                minimal[i] = replacement
+                changed = True
+    return sorted(minimal, key=lead_key)
+
+
 def textbook_buchberger(generators) -> tuple:
     """Reduced left Groebner basis with no pair criterion.
 
     Every S-pair of every two basis elements is reduced, the pair with the
     smallest lcm first; a nonzero remainder joins the basis and pairs with
-    all earlier elements.  Only the final interreduction is the engine's.
+    all earlier elements.  The fixpoint loop interreduces the result.
     """
     basis = [g.monic() for g in generators if not g.is_zero()]
     pairs: list = []
@@ -263,7 +344,7 @@ def textbook_buchberger(generators) -> tuple:
         if not remainder.is_zero():
             basis.append(remainder.monic())
             add_pairs(len(basis) - 1)
-    return tuple(_interreduce(basis)) if basis else ()
+    return tuple(fixpoint_interreduce(basis)) if basis else ()
 
 
 # -- Dense oracles for the Lie layer ------------------------------------------

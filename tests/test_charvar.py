@@ -12,11 +12,24 @@ from math import comb
 import pytest
 
 from conftest import SEEDS
-from helpers import check_bernstein_inequality, finite_difference, hilbert_by_counting
+from helpers import (
+    check_bernstein_inequality,
+    check_groebner_spairs,
+    finite_difference,
+    hilbert_by_counting,
+    hilbert_numerator_by_largest_generator,
+    independent_sets_by_enumeration,
+    random_element,
+)
 from weylkit import (
+    GroebnerBasis,
     HolonomicityCertificate,
     ImproperIdealError,
     LeftIdeal,
+    Monomial,
+    PairLimitExceeded,
+    Poly,
+    buchberger,
     characteristic_dimension,
     graded_ideal,
     krull_dimension,
@@ -25,7 +38,7 @@ from weylkit import (
     principal_symbol,
     simplicity_certificate,
 )
-from weylkit.charvar import _hilbert_numerator
+from weylkit.charvar import _hilbert_numerator, _independent_analysis
 from weylkit.weyl import WeylElement
 
 
@@ -137,10 +150,11 @@ def test_bernstein_inequality_on_random_ideals():
     assert check_bernstein_inequality(SEEDS["bernstein"], rounds=12) >= 1
 
 
-@pytest.mark.parametrize("slots", [4, 6])
+@pytest.mark.parametrize("slots", [2, 4, 6])
 def test_hilbert_numerator_matches_counting(slots):
     # numerator / (1 - t)^slots, expanded up to dmax, counts the standard
-    # monomials degree by degree.
+    # monomials degree by degree; the pivot recursion also equals the
+    # largest-generator recursion term for term.
     rng = random.Random(f"weylkit-hilbert-numerator:{slots}")
     dmax = 8
     for _ in range(25):
@@ -157,3 +171,95 @@ def test_hilbert_numerator_matches_counting(slots):
             for degree in range(dmax + 1)
         ]
         assert series == hilbert_by_counting(gens, slots, dmax)
+        assert numerator == hilbert_numerator_by_largest_generator(gens), gens
+    assert _hilbert_numerator([]) == [1]
+    assert _hilbert_numerator([(0,) * slots, (1,) * slots]) == [0]
+
+
+PAPER_IDEALS = pytest.mark.parametrize(
+    "scenario, name, l",
+    [("n2_scenario", "I1l", l) for l in range(4)]
+    + [("n2_scenario", "I3", None)]
+    + [("n3_scenario", "I1l", l) for l in range(3)]
+    + [("n3_scenario", "I3", None), ("n3_scenario", "Idoubleprime", 1)],
+)
+
+
+def paper_ideal(request, scenario, name, l) -> LeftIdeal:
+    return request.getfixturevalue(scenario).ideal(name, {} if l is None else {"l": l})
+
+
+def assert_graded_basis_is_the_buchberger_basis(ideal: LeftIdeal) -> None:
+    basis = graded_ideal(ideal).groebner_basis()
+    symbols = [principal_symbol(g) for g in ideal.groebner_basis().elements]
+    assert basis.elements == buchberger(symbols).elements
+    assert (
+        basis.pairs_processed,
+        basis.reductions_to_zero,
+        basis.pairs_skipped_chain,
+        basis.pairs_skipped_commuting,
+    ) == (0, 0, 0, 0)
+    if len(basis.elements) > 1:
+        assert check_groebner_spairs(list(basis.elements)) >= 1
+
+
+@PAPER_IDEALS
+def test_graded_basis_is_the_buchberger_basis_of_the_symbols(request, scenario, name, l):
+    assert_graded_basis_is_the_buchberger_basis(paper_ideal(request, scenario, name, l))
+
+
+def test_graded_basis_is_the_buchberger_basis_on_random_ideals(monkeypatch):
+    monkeypatch.setenv("WEYLKIT_GB_MAX_PAIRS", "60")
+    rng = random.Random("weylkit-graded-basis")
+    compared = 0
+    for _ in range(16):
+        gens = [random_element(rng, 2, terms=3, max_exp=2) for _ in range(rng.randint(1, 3))]
+        try:
+            assert_graded_basis_is_the_buchberger_basis(LeftIdeal(gens))
+        except (ImproperIdealError, PairLimitExceeded):
+            continue
+        compared += 1
+    assert compared >= 10
+
+
+@PAPER_IDEALS
+def test_independent_analysis_and_hilbert_numerator_match_the_oracles(request, scenario, name, l):
+    ideal = paper_ideal(request, scenario, name, l)
+    basis = graded_ideal(ideal).groebner_basis()
+    leading = [lm.slots() for lm in basis.leading_monomials()]
+    m = ideal.ambient
+    assert _independent_analysis(basis, m) == independent_sets_by_enumeration(leading, 2 * m)
+    assert _hilbert_numerator(leading) == hilbert_numerator_by_largest_generator(leading)
+
+
+def monomial_basis(leading: list[tuple[int, ...]], m: int) -> GroebnerBasis:
+    elements = [Poly.from_monomial(Monomial(lm[:m], lm[m:])) for lm in leading]
+    return GroebnerBasis(tuple(elements), 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_independent_analysis_matches_enumeration_on_random_supports(m):
+    rng = random.Random(f"weylkit-independent-sets:{m}")
+    cases = [[], [(0,) * (2 * m)], [(1,) * (2 * m), (0,) * (2 * m)]]
+    for _ in range(60):
+        cases.append([
+            tuple(rng.choice((0, 0, 1, 2)) for _ in range(2 * m))
+            for _ in range(rng.randint(1, 6))
+        ])
+    for leading in cases:
+        assert _independent_analysis(monomial_basis(leading, m), m) == (
+            independent_sets_by_enumeration(leading, 2 * m)
+        ), leading
+
+
+def test_user_built_symbol_ideal_runs_buchberger(n3_scenario):
+    operators = n3_scenario.ideal("I1l", {"l": 1})
+    graded = graded_ideal(operators)
+    user = LeftIdeal(list(reversed(graded.generators)))
+    basis = user.groebner_basis()
+    n = len(basis.elements)
+    assert basis.elements == graded.groebner_basis().elements
+    counted = basis.pairs_processed + basis.pairs_skipped_chain + basis.pairs_skipped_commuting
+    assert counted >= n * (n - 1) // 2 > 0
+    assert (krull_dimension(user), multiplicity(user)) == (6, 1)
+    assert (krull_dimension(graded), multiplicity(graded)) == (6, 1)

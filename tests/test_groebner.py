@@ -5,7 +5,13 @@ from itertools import product
 
 import pytest
 
-from helpers import check_groebner_spairs, naive_reduce, random_element, textbook_buchberger
+from helpers import (
+    check_groebner_spairs,
+    fixpoint_interreduce,
+    naive_reduce,
+    random_element,
+    textbook_buchberger,
+)
 from weylkit import (
     DEFAULT_ORDER,
     LeftIdeal,
@@ -21,6 +27,7 @@ from weylkit import (
     s_polynomial,
 )
 from weylkit.charvar import graded_ideal
+from weylkit.groebner import _interreduce
 from weylkit.weyl import WeylElement, d, z
 
 
@@ -219,6 +226,39 @@ def test_buchberger_matches_criterion_free_oracle_on_random_ideals(monkeypatch):
             check_groebner_spairs(gens)
         compared += 1
     assert compared >= 20
+
+
+@pytest.mark.parametrize(
+    "scenario, name, l",
+    [("n2_scenario", "I1l", 2), ("n2_scenario", "I3", None), ("n3_scenario", "I1l", 1)],
+)
+def test_one_pass_interreduce_matches_the_fixpoint_loop_on_padded_bases(request, scenario, name, l):
+    # The reduced basis padded with monic left multiples and sums of its own
+    # elements is still a Groebner basis, so both loops must give it back.
+    ideal = request.getfixturevalue(scenario).ideal(name, {} if l is None else {"l": l})
+    basis = list(ideal.groebner_basis().elements)
+    rng = random.Random(f"weylkit-interreduce:{name}:{l}")
+    padded = list(basis)
+    for _ in range(8):
+        factor = random_element(rng, basis[0].ambient, terms=2, max_exp=1)
+        extra = factor * rng.choice(basis) + rng.choice(basis)
+        if not extra.is_zero():
+            padded.append(extra.monic())
+    rng.shuffle(padded)
+    assert _interreduce(padded) == fixpoint_interreduce(padded) == basis
+
+
+@pytest.mark.parametrize("kind", [WeylElement, Poly])
+def test_one_pass_interreduce_matches_the_fixpoint_loop_on_random_lists(kind):
+    # Not Groebner bases: the loops must still agree term for term.
+    rng = random.Random(f"weylkit-interreduce:{kind.__name__}")
+    for _ in range(40):
+        elements = [
+            kind(2, random_element(rng, 2, terms=4, max_exp=2).terms)
+            for _ in range(rng.randint(1, 6))
+        ]
+        elements = [g.monic() for g in elements if not g.is_zero()]
+        assert _interreduce(elements) == fixpoint_interreduce(elements), [str(g) for g in elements]
 
 
 def test_pair_limit_rejects_garbage(monkeypatch):
