@@ -10,17 +10,24 @@ monomials) holds only for generators that commute, which disjoint variable
 support guarantees; the coprime shortcut alone fails already for the pair
 (d1, z1).
 
+Division finds its divisor through a per-slot index of the basis leading
+monomials: one bisection per slot and an AND of bitmasks, whatever the basis
+size.
+
 Chain criterion in G-algebras: V. Levandovskyy, PhD thesis, Kaiserslautern 2005.
 Pair update: R. Gebauer and H. M. Moeller, J. Symbolic Comput. 6 (1988).
+Divisibility index: O. Bachmann and H. Schoenemann, ISSAC 1998.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
+from operator import and_, getitem
 from typing import Sequence
 
 from .base import SparseElement, _accumulate
@@ -48,6 +55,54 @@ def _pair_limit() -> int | None:
     return limit
 
 
+class _LeadingTerms:
+    """Leading terms of a basis in list order, indexed for divisibility.
+
+    For each slot the index keeps the sorted distinct exponents the leading
+    monomials have there, starting at 0, and a parallel list of bitmasks: bit
+    i is set when leading monomial i has at most that exponent.  Each mask
+    list starts with a 0 pad so that ``bisect_right`` indexes it directly.
+    The AND over the slots of the masks a monomial's exponents select holds
+    exactly the leading monomials dividing it; the lowest set bit is the
+    first of them in list order.  The index grows with the number of leading
+    monomials times the number of slots, never with an exponent's size.
+    A leading coefficient of 1 is recorded as None, so division by a monic
+    element skips the scalar division.
+    """
+
+    __slots__ = ("monomials", "coefficients", "_exps", "_masks", "_all")
+
+    def __init__(self, slots: int):
+        self.monomials: list[Monomial] = []
+        self.coefficients: list[Fraction | None] = []
+        self._exps = [[0] for _ in range(slots)]
+        self._masks = [[0, 0] for _ in range(slots)]
+        self._all = 0
+
+    def add(self, lm: Monomial, lc: Fraction) -> None:
+        bit = 1 << len(self.monomials)
+        self.monomials.append(lm)
+        self.coefficients.append(None if lc == 1 else lc)
+        for exps, masks, e in zip(self._exps, self._masks, lm.zexp + lm.dexp):
+            k = bisect_left(exps, e)
+            if k == len(exps) or exps[k] != e:
+                # A new exponent inherits the mask of the one below it.
+                exps.insert(k, e)
+                masks.insert(k + 1, masks[k])
+            for j in range(k + 1, len(masks)):
+                masks[j] |= bit
+        self._all |= bit
+
+    def first_divisor(self, mono: Monomial) -> int:
+        """Index of the first leading monomial dividing ``mono``, else -1."""
+        bits = reduce(
+            and_,
+            map(getitem, self._masks, map(bisect_right, self._exps, mono.zexp + mono.dexp)),
+            self._all,
+        )
+        return (bits & -bits).bit_length() - 1
+
+
 def reduce_element(
     element: SparseElement,
     basis: Sequence[SparseElement],
@@ -65,8 +120,9 @@ def reduce_element(
 
 def _division_data(
     basis: Sequence[SparseElement], kind: type, ambient: int
-) -> list[tuple[Monomial, Fraction]]:
-    """Check that ``basis`` holds nonzero elements of one ring; list its leading terms."""
+) -> _LeadingTerms:
+    """Check that ``basis`` holds nonzero elements of one ring; index its leading terms."""
+    leading = _LeadingTerms(2 * ambient)
     for g in basis:
         if type(g) is not kind:
             raise TypeError("mixed element types in division")
@@ -74,25 +130,32 @@ def _division_data(
             raise ValueError("ambient mismatch in division")
         if g.is_zero():
             raise ValueError("zero divisor in basis")
-    return [(g.leading_monomial(), g.leading_coefficient()) for g in basis]
+        leading.add(g.leading_monomial(), g.leading_coefficient())
+    return leading
 
 
 def _divide(
     element: SparseElement,
     basis: Sequence[SparseElement],
-    leading: Sequence[tuple[Monomial, Fraction]],
+    leading: _LeadingTerms,
     track: bool,
 ):
-    """``reduce_element`` on a checked basis, given its leading terms.
+    """``reduce_element`` on a checked basis, given its indexed leading terms.
 
     The live terms sit in a dict and their monomials in a heap that pops the
-    largest first (Monagan-Pearce style).  Each step subtracts the terms of
-    quotient * basis[i] one by one, straight from the product kernel.  Every
-    term a step adds lies strictly below that step's leading monomial, so a
-    heap entry whose term has already cancelled or moved to the remainder is
-    simply skipped; a term that cancels and then reappears is pushed again.
+    largest first (Monagan-Pearce style).  The divisor of a popped term comes
+    from the bitmask index of ``leading`` (Bachmann-Schoenemann style), not a
+    scan of the basis, and a monic divisor needs no scalar division.  Each
+    step subtracts the terms of quotient * basis[i] one by one, straight from
+    the product kernel.  Every term a step adds lies strictly below that
+    step's leading monomial, so a heap entry whose term has already cancelled
+    or moved to the remainder is simply skipped; a term that cancels and
+    then reappears is pushed again.
     """
     heap_key = DEFAULT_ORDER.heap_key
+    first_divisor = leading.first_divisor
+    monomials = leading.monomials
+    coefficients = leading.coefficients
     work = dict(element.terms)
     heap = [(heap_key(mono), mono) for mono in work]
     heapq.heapify(heap)
@@ -103,23 +166,23 @@ def _divide(
         coeff = work.get(mono)
         if coeff is None:
             continue
-        for i, (lm, lc) in enumerate(leading):
-            if lm.divides(mono):
-                quotient = mono.quotient(lm)
-                factor = coeff / lc
-                for term, c in basis[i]._left_terms(quotient, factor):
-                    acc = work.get(term)
-                    if acc is None:
-                        work[term] = -c
-                        heapq.heappush(heap, (heap_key(term), term))
-                    elif acc == c:
-                        del work[term]
-                    else:
-                        work[term] = acc - c
-                cofactors[i][quotient] = factor
-                break
-        else:
+        i = first_divisor(mono)
+        if i < 0:
             remainder[mono] = work.pop(mono)
+            continue
+        quotient = mono.quotient(monomials[i])
+        lc = coefficients[i]
+        factor = coeff if lc is None else coeff / lc
+        for term, c in basis[i]._left_terms(quotient, factor):
+            acc = work.get(term)
+            if acc is None:
+                work[term] = -c
+                heapq.heappush(heap, (heap_key(term), term))
+            elif acc == c:
+                del work[term]
+            else:
+                work[term] = acc - c
+        cofactors[i][quotient] = factor
     if track:
         return element._make(remainder), [element._make(cof) for cof in cofactors]
     return element._make(remainder)
@@ -175,8 +238,8 @@ class GroebnerBasis:
         return tuple(g.leading_monomial() for g in self.elements)
 
     @cached_property
-    def _leading(self) -> list[tuple[Monomial, Fraction]]:
-        """Division data, checked and built once."""
+    def _leading(self) -> _LeadingTerms:
+        """Division index, checked and built once."""
         return _division_data(self.elements, type(self.elements[0]), self.ambient)
 
     def reduce(self, element: SparseElement, track: bool = False):
@@ -236,7 +299,8 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
 
     order_key = DEFAULT_ORDER.key
     basis: list[SparseElement] = []
-    leading: list[tuple[Monomial, Fraction]] = []
+    leading = _LeadingTerms(2 * ambient)
+    lms = leading.monomials
     # Indices whose leading monomial no later one divides: only these get new pairs.
     active: list[int] = []
     pending: dict[tuple[int, int], Monomial] = {}
@@ -251,8 +315,8 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
         for (i, k), lcm in list(pending.items()):
             if (
                 lm_h.divides(lcm)
-                and leading[i][0].lcm(lm_h) != lcm
-                and leading[k][0].lcm(lm_h) != lcm
+                and lms[i].lcm(lm_h) != lcm
+                and lms[k].lcm(lm_h) != lcm
             ):
                 del pending[i, k]
                 chain += 1
@@ -260,7 +324,7 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
         minimal: list[Monomial] = []
         candidates = []
         for i in active:
-            lcm = leading[i][0].lcm(lm_h)
+            lcm = lms[i].lcm(lm_h)
             if _may_skip_pair(basis[i], h):
                 commuting += 1
                 minimal.append(lcm)
@@ -275,10 +339,10 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
             minimal.append(lcm)
             pending[i, j] = lcm
             heapq.heappush(queue, (key, i, j))
-        active = [i for i in active if not lm_h.divides(leading[i][0])]
+        active = [i for i in active if not lm_h.divides(lms[i])]
         active.append(j)
         basis.append(h)
-        leading.append((lm_h, h.leading_coefficient()))
+        leading.add(lm_h, h.leading_coefficient())
 
     for g in gens:
         insert(g)
@@ -313,19 +377,21 @@ def _interreduce(basis: list[SparseElement]) -> list[SparseElement]:
     smaller leading monomials can divide it: each minimal element is divided
     by the smaller, already reduced ones and then joins them.
     """
+    if not basis:
+        return []
     reduced: list[SparseElement] = []
-    leading: list[tuple[Monomial, Fraction]] = []
+    leading = _LeadingTerms(2 * basis[0].ambient)
     for g in sorted(basis, key=lambda g: DEFAULT_ORDER.key(g.leading_monomial())):
         lm = g.leading_monomial()
         # Minimal first: drop anything whose leading monomial another one divides.
-        if any(h.divides(lm) for h, _ in leading):
+        if leading.first_divisor(lm) >= 0:
             continue
         g = _divide(g, reduced, leading, False)
         if g.is_zero() or g.leading_monomial() != lm:
             raise AssertionError("minimal basis element lost its leading term")
         g = g.monic()
         reduced.append(g)
-        leading.append((lm, g.leading_coefficient()))
+        leading.add(lm, g.leading_coefficient())
     return reduced
 
 

@@ -8,6 +8,7 @@ zeta variables.  Both rings agree on the combinatorics below.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import NamedTuple
 
 
@@ -31,12 +32,12 @@ class Monomial(NamedTuple):
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(
-            tuple(a + b for a, b in zip(self.zexp, other.zexp)),
-            tuple(a + b for a, b in zip(self.dexp, other.dexp)),
+            tuple(map(add, self.zexp, other.zexp)),
+            tuple(map(add, self.dexp, other.dexp)),
         )
 
     def divides(self, other: "Monomial") -> bool:
-        # Plain loops: division calls this once per basis element per step.
+        # Plain loops: cheaper than all() over a generator on short vectors.
         for a, b in zip(self.zexp, other.zexp):
             if a > b:
                 return False
@@ -48,14 +49,14 @@ class Monomial(NamedTuple):
     def quotient(self, other: "Monomial") -> "Monomial":
         """self / other, assuming other divides self."""
         return Monomial(
-            tuple(a - b for a, b in zip(self.zexp, other.zexp)),
-            tuple(a - b for a, b in zip(self.dexp, other.dexp)),
+            tuple(map(sub, self.zexp, other.zexp)),
+            tuple(map(sub, self.dexp, other.dexp)),
         )
 
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(
-            tuple(max(a, b) for a, b in zip(self.zexp, other.zexp)),
-            tuple(max(a, b) for a, b in zip(self.dexp, other.dexp)),
+            tuple(map(max, self.zexp, other.zexp)),
+            tuple(map(max, self.dexp, other.dexp)),
         )
 
     def coprime(self, other: "Monomial") -> bool:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from typing import Iterable
 
 from .base import Scalar, SparseElement, format_terms
@@ -41,7 +42,11 @@ class WeylElement(SparseElement):
     __slots__ = ()
 
     def _term_product(self, m1: Monomial, m2: Monomial):
-        # (z^a d^b)(z^c d^e): push each d_i^{b_i} through z_i^{c_i}.
+        # (z^a d^b)(z^c d^e): push each d_i^{b_i} through z_i^{c_i}.  When no
+        # d_i of m1 meets a z_i of m2, nothing moves and the product is m1*m2.
+        if not any(map(mul, m1.dexp, m2.zexp)):
+            yield m1.mul(m2), 1
+            return
         rows = map(_reorder_one_variable, m1.dexp, m2.zexp)
         for choice in itertools.product(*rows):
             coeff = 1

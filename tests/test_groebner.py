@@ -1,6 +1,7 @@
 """Left Gröbner bases: division, Buchberger verification, membership, limits."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -27,7 +28,8 @@ from weylkit import (
     s_polynomial,
 )
 from weylkit.charvar import graded_ideal
-from weylkit.groebner import _interreduce
+from weylkit.groebner import _LeadingTerms, _interreduce
+from weylkit.monomial import z_monomial
 from weylkit.weyl import WeylElement, d, z
 
 
@@ -381,3 +383,56 @@ def test_groebner_basis_reduce_matches_oracle_and_checks_its_input(n2_scenario):
         reduce_element(z(1, 3), basis.elements)
     with pytest.raises(ValueError, match="zero divisor"):
         reduce_element(z(1, 4), [d(1, 4), WeylElement.zero(4)])
+
+
+def _first_divisor_by_scan(leading, mono):
+    return next((i for i, lm in enumerate(leading) if lm.divides(mono)), -1)
+
+
+@pytest.mark.parametrize("ambient", [0, 1, 2, 3])
+def test_first_divisor_matches_a_list_order_scan(ambient):
+    # Leading sets grow one add at a time, as in Buchberger; repeated leading
+    # monomials and exponents up to 10**12 included: the first divisor wins.
+    rng = random.Random(f"weylkit-divisibility-index:{ambient}")
+    exponents = [0, 0, 1, 1, 2, 3, 10**9, 10**12 - 1, 10**12]
+
+    def draw():
+        slots = [rng.choice(exponents) for _ in range(2 * ambient)]
+        return Monomial(tuple(slots[:ambient]), tuple(slots[ambient:]))
+
+    for _ in range(8):
+        index = _LeadingTerms(2 * ambient)
+        leading: list[Monomial] = []
+        for _ in range(rng.randint(1, 24)):
+            lm = rng.choice(leading) if leading and rng.random() < 0.2 else draw()
+            index.add(lm, 1)
+            leading.append(lm)
+            queries = [draw() for _ in range(6)] + [lm, rng.choice(leading).mul(draw())]
+            for mono in queries:
+                assert index.first_divisor(mono) == _first_divisor_by_scan(leading, mono)
+        assert index.monomials == leading
+        assert index.coefficients == [None] * len(leading)
+    empty = _LeadingTerms(2 * ambient)
+    assert empty.first_divisor(Monomial((0,) * ambient, (0,) * ambient)) == -1
+
+
+def test_division_by_a_huge_leading_exponent_returns_at_once():
+    # The index keeps distinct exponents only: nothing is sized by 10**9.
+    g = WeylElement(2, {z_monomial(1, 2, 10**9): 3, z_monomial(2, 2): 1})
+    x = WeylElement(
+        2,
+        {
+            Monomial((10**9 + 2, 0), (1, 0)): 1,
+            Monomial((10**9 - 1, 0), (0, 5)): 2,
+            Monomial((0, 1), (0, 1)): -1,
+        },
+    )
+    started = time.perf_counter()
+    remainder, cofactors = reduce_element(x, [g], track=True)
+    assert time.perf_counter() - started < 0.5
+    assert (remainder, cofactors) == naive_reduce(x, [g])
+    assert cofactors[0] * g + remainder == x
+    index = _LeadingTerms(4)
+    index.add(g.leading_monomial(), 3)
+    assert [len(exps) for exps in index._exps] == [2, 1, 1, 1]
+    assert index.coefficients == [3]

@@ -1,0 +1,117 @@
+"""Hypothesis properties: the division identity, uniqueness of reduced normal
+forms, and the parse/print round trip.
+
+Examples are derandomized and no example database is kept, so every run
+draws the same sample.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from weylkit import (
+    Monomial,
+    Poly,
+    load_scenario,
+    parse_expression,
+    parse_polynomial,
+    reduce_element,
+)
+from weylkit.charvar import graded_ideal
+from weylkit.weyl import WeylElement
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+# (scenario, ideal, l) triples whose reduced bases the properties divide by.
+PAPER_IDEALS = [
+    ("paper-n2", "I1l", 2),
+    ("paper-n2", "I3", None),
+    ("paper-n3", "I1l", 1),
+    ("paper-n3", "Idoubleprime", 1),
+]
+
+
+@lru_cache(maxsize=None)
+def paper_basis(index: int, graded: bool = False) -> tuple:
+    scenario, name, l = PAPER_IDEALS[index]
+    ideal = load_scenario(scenario).ideal(name, {} if l is None else {"l": l})
+    if graded:
+        ideal = graded_ideal(ideal)
+    return ideal.groebner_basis().elements
+
+
+def monomials(ambient: int, max_exp: int):
+    slots = st.tuples(*[st.integers(0, max_exp)] * (2 * ambient))
+    return slots.map(lambda e: Monomial(e[:ambient], e[ambient:]))
+
+
+COEFFICIENTS = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+
+def elements(kind, ambient: int, max_terms: int = 4, max_exp: int = 3, min_terms: int = 0):
+    terms = st.dictionaries(
+        monomials(ambient, max_exp), COEFFICIENTS, min_size=min_terms, max_size=max_terms
+    )
+    return terms.map(lambda t: kind(ambient, t))
+
+
+@st.composite
+def paper_division(draw, graded: bool = False):
+    """A paper basis (operator or graded) and an element of its ring."""
+    basis = paper_basis(draw(st.integers(0, len(PAPER_IDEALS) - 1)), graded)
+    kind = type(basis[0])
+    x = draw(elements(kind, basis[0].ambient))
+    return list(basis), x
+
+
+@st.composite
+def small_division(draw):
+    """A short unreduced, non-monic basis in two variables and an element."""
+    kind = draw(st.sampled_from([WeylElement, Poly]))
+    divisors = elements(kind, 2, max_terms=3, max_exp=2, min_terms=1)
+    basis = draw(st.lists(divisors, min_size=1, max_size=3))
+    return basis, draw(elements(kind, 2))
+
+
+def assert_division_identity(basis, x):
+    remainder, cofactors = reduce_element(x, basis, track=True)
+    assert sum((q * g for q, g in zip(cofactors, basis)), remainder) == x
+    leading = [g.leading_monomial() for g in basis]
+    for mono in remainder.terms:
+        assert not any(lm.divides(mono) for lm in leading), mono
+
+
+@PROPERTY
+@given(st.one_of(paper_division(), paper_division(graded=True)))
+def test_division_identity_on_paper_bases(case):
+    assert_division_identity(*case)
+
+
+@PROPERTY
+@given(small_division())
+def test_division_identity_on_small_unreduced_bases(case):
+    assert_division_identity(*case)
+
+
+@PROPERTY
+@given(st.one_of(paper_division(), paper_division(graded=True)), st.data())
+def test_normal_form_ignores_left_multiples_of_the_basis(case, data):
+    basis, x = case
+    g = data.draw(st.sampled_from(basis))
+    c = data.draw(elements(type(g), g.ambient, max_terms=2, max_exp=2))
+    assert reduce_element(x + c * g, basis) == reduce_element(x, basis)
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda m: elements(WeylElement, m)))
+def test_operator_print_parse_round_trip(element):
+    assert parse_expression(str(element), ambient=element.ambient) == element
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda m: elements(Poly, m)))
+def test_polynomial_print_parse_round_trip(element):
+    assert parse_polynomial(str(element), ambient=element.ambient) == element

@@ -25,6 +25,7 @@ from weylkit import (
     weyl_from_poly,
 )
 from weylkit.poly import Poly, poly_z, poly_zeta
+from weylkit import weyl
 from weylkit.weyl import PartialFourierSpec, _reorder_one_variable, d, normalize, z
 
 
@@ -121,8 +122,28 @@ def test_normalize_rejects_unknown_kind():
         normalize(1, [("x", 1, 1)])
 
 
-def test_word_products_match_oracle_sample():
+def test_word_products_match_oracle_sample(monkeypatch):
+    # Both branches of the term product meet the oracle: the no-reorder fast
+    # path, and the reorder rows, seen through the rows it builds.
+    rows_built = []
+    reorder = weyl._reorder_one_variable
+    term_product = WeylElement._term_product
+    branches = {"fast": 0, "reorder": 0}
+
+    def counted_rows(p, q):
+        rows_built.append((p, q))
+        return reorder(p, q)
+
+    def observed_term_product(self, m1, m2):
+        before = len(rows_built)
+        terms = list(term_product(self, m1, m2))
+        branches["reorder" if len(rows_built) > before else "fast"] += 1
+        return iter(terms)
+
+    monkeypatch.setattr(weyl, "_reorder_one_variable", counted_rows)
+    monkeypatch.setattr(WeylElement, "_term_product", observed_term_product)
     assert check_word_products(SEEDS["words"], pairs=120) == 120
+    assert branches["fast"] > 0 and branches["reorder"] > 0, branches
 
 
 def test_ring_axioms_sample():
