@@ -44,8 +44,8 @@ class SparseElement:
     def __init__(self, ambient: int, terms: Mapping[Monomial, Scalar] | Iterable = ()):
         if ambient < 0:
             raise ValueError("ambient must be nonnegative")
-        clean: dict[Monomial, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        nonzero = []
         for mono, coeff in items:
             if len(mono.zexp) != ambient or len(mono.dexp) != ambient:
                 raise ValueError("monomial ambient mismatch")
@@ -53,15 +53,9 @@ class SparseElement:
                 raise ValueError("negative exponent")
             c = as_fraction(coeff)
             if c:
-                acc = clean.get(mono)
-                if acc is None:
-                    clean[mono] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        clean[mono] = acc
-                    else:
-                        del clean[mono]
+                nonzero.append((mono, c))
+        clean: dict[Monomial, Fraction] = {}
+        _accumulate(clean, nonzero)
         object.__setattr__(self, "_ambient", ambient)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_lead", None)
@@ -193,10 +187,9 @@ class SparseElement:
         while e:
             if e & 1:
                 result = result * base
-            base_needed = e > 1
-            if base_needed:
-                base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def _term_product(self, m1: Monomial, m2: Monomial) -> Iterator[tuple[Monomial, int]]:

@@ -14,13 +14,14 @@ import re
 import sys
 from pathlib import Path
 
-from .charvar import graded_ideal, krull_dimension, multiplicity, simplicity_certificate
+from .charvar import graded_ideal, simplicity_certificate
 from .deltamod import DeltaModule, certify_annihilator, section_from_operator
 from .groebner import LeftIdeal, PairLimitExceeded
 from .parser import parse_expression
 from .report import check_lines, render_json, render_markdown
 from .runner import run_scenario
 from .scenario import Scenario, ScenarioError, load_scenario
+from .weyl import WeylElement
 
 _INDEX = re.compile(r"[zd](\d+)")
 
@@ -83,22 +84,22 @@ def _cmd_gb(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _ideal_and_element(args: argparse.Namespace) -> tuple[LeftIdeal, WeylElement]:
+    """The ``--mod``/``--in`` ideal and the expression, in one ambient."""
     scenario = _load(args)
     ideal = _resolve_ideal(args.ideal_ref, scenario, args)
-    element = parse_expression(
-        args.expr, scenario.ambient if scenario else _inferred_ambient([args.expr], args.ambient)
-    )
+    ambient = scenario.ambient if scenario else _inferred_ambient([args.expr], args.ambient)
+    return ideal, parse_expression(args.expr, ambient)
+
+
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    ideal, element = _ideal_and_element(args)
     print(ideal.reduce(element))
     return 0
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    scenario = _load(args)
-    ideal = _resolve_ideal(args.ideal_ref, scenario, args)
-    element = parse_expression(
-        args.expr, scenario.ambient if scenario else _inferred_ambient([args.expr], args.ambient)
-    )
+    ideal, element = _ideal_and_element(args)
     remainder = ideal.reduce(element)
     if remainder.is_zero():
         print("member")
@@ -114,10 +115,9 @@ def _cmd_charvar(args: argparse.Namespace) -> int:
     print("graded ideal generators:")
     for element in graded.generators:
         print(f"  {element}")
-    dimension = krull_dimension(graded)
-    print(f"dimension: {dimension}")
-    print(f"multiplicity: {multiplicity(graded)}")
     cert = simplicity_certificate(ideal)
+    print(f"dimension: {cert.dimension}")
+    print(f"multiplicity: {cert.multiplicity}")
     print(f"verdict: {cert.verdict}")
     print(f"simple: {cert.simple}")
     if cert.vanishing is not None:

@@ -23,9 +23,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .base import Scalar, as_fraction
+from .groebner import LeftIdeal
 from .linalg import Matrix, Vector, invert, mat_mul, matrix, rank
 from .parser import ParseError
-from .poly import Poly
+from .poly import Poly, poly_z
 from .weyl import WeylElement, d, z
 
 # Nonzero entries of a matrix, keyed by 0-based (row, column).
@@ -273,8 +274,6 @@ def vector_field(mat: Matrix) -> list[Poly]:
     """
     a = matrix(mat)
     m = len(a)
-    from .poly import poly_z
-
     out = []
     for i in range(m):
         entry = Poly.zero(m)
@@ -304,27 +303,20 @@ def apply_vector_field(mat: Matrix, polynomial: Poly) -> Poly:
     """Derivation action of v_A on a polynomial in the z variables only."""
     if any(any(mono.dexp) for mono in polynomial.terms):
         raise ValueError("vector fields act on polynomials without symbols")
-    a = matrix(mat)
+    field = vector_field(mat)
     m = polynomial.ambient
-    if len(a) != m:
+    if len(field) != m:
         raise ValueError("matrix size must match the ambient variable count")
-    from .poly import poly_z
-
     out = Poly.zero(m)
-    for i in range(m):
-        partial = polynomial.derivative("z", i + 1)
-        if partial.is_zero():
-            continue
-        for j in range(m):
-            if a[i][j]:
-                out = out + (poly_z(j + 1, m) * partial).scaled(a[i][j])
+    for i, velocity in enumerate(field, start=1):
+        partial = polynomial.derivative("z", i)
+        if velocity and partial:
+            out = out + velocity * partial
     return out
 
 
 def variety_stable(mat: Matrix, ideal_generators: Sequence[Poly]) -> bool:
     """Whether v_A maps the ideal of a variety into itself (infinitesimal stability)."""
-    from .groebner import LeftIdeal
-
     ideal = LeftIdeal(list(ideal_generators))
     return all(ideal.contains(apply_vector_field(mat, g)) for g in ideal_generators)
 

@@ -9,28 +9,21 @@ kept in a separate top-level ``timing`` block that golden comparisons drop.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import __version__
 from .charvar import simplicity_certificate
 from .deltamod import (
+    act,
     act_on_polynomial,
     delta_to_polynomial,
-    fourier_transport_check,
-    first_non_annihilating,
     certify_annihilator,
     interpolation_lift,
 )
 from .groebner import LeftIdeal, ideal_contains, module_multiply_ideal
-from .lie import (
-    apply_vector_field,
-    parse_matrix_expr,
-    rho,
-    tangent_rank_at,
-    twisted_generators,
-)
+from .lie import apply_vector_field, tangent_rank_at, twisted_generators
 from .scenario import CheckSpec, Scenario
-from .weyl import WeylElement, partial_fourier
+from .weyl import partial_fourier
 
 PASS = "pass"
 FAIL = "fail"
@@ -44,29 +37,31 @@ def _expected(check: CheckSpec, default: Any = True) -> Any:
     return default if check.expect is None else check.expect
 
 
-def _verdict_bool(actual: bool, expected: bool, witness: dict[str, Any]) -> Verdict:
-    witness = dict(witness)
-    witness["expected"] = expected
-    return (PASS if actual == expected else FAIL), witness
+def _verdict_bool(check: CheckSpec, actual: bool, witness: dict[str, Any]) -> Verdict:
+    """Pass when ``actual`` equals the check's expectation (default True)."""
+    expected = bool(_expected(check))
+    return (PASS if actual == expected else FAIL), {**witness, "expected": expected}
 
 
-def _check_annihilates(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    ideal = s.ideal(check.params["ideal"], scope)
-    section = s.section(check.params["section"], scope)
-    failure = first_non_annihilating(ideal.generators, section)
+def _first_nonzero(items: Iterable, image: Callable) -> tuple[int, Any, Any] | None:
+    """(index, item, image) of the first item, counting from 1, whose image is
+    nonzero; None when every image vanishes.  Stops at the first failure."""
+    for index, item in enumerate(items, start=1):
+        value = image(item)
+        if not value.is_zero():
+            return index, item, value
+    return None
+
+
+def _check_annihilates(check: CheckSpec, ideal, section) -> Verdict:
+    failure = _first_nonzero(ideal.generators, lambda g: act(g, section))
     if failure is None:
         return PASS, {"generators": len(ideal.generators)}
-    index, image = failure
-    return FAIL, {
-        "index": index,
-        "failing_generator": str(ideal.generators[index - 1]),
-        "image": str(image),
-    }
+    index, generator, image = failure
+    return FAIL, {"index": index, "failing_generator": str(generator), "image": str(image)}
 
 
-def _check_sections_agree(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    refs = check.params["sections"]
-    sections = [s.section(ref, scope) for ref in refs]
+def _check_sections_agree(check: CheckSpec, sections) -> Verdict:
     first = sections[0]
     for i, other in enumerate(sections[1:], start=2):
         if other != first:
@@ -78,9 +73,7 @@ def _check_sections_agree(s: Scenario, check: CheckSpec, scope: Mapping[str, int
     return PASS, {"forms": len(sections), "section": str(first)}
 
 
-def _check_certify_annihilator(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    ideal = s.ideal(check.params["ideal"], scope)
-    section = s.section(check.params["section"], scope)
+def _check_certify_annihilator(check: CheckSpec, ideal, section) -> Verdict:
     cert = certify_annihilator(ideal, section)
     if cert.verified:
         return PASS, {"verified": True, "simplicity": cert.simplicity.describe()}
@@ -95,35 +88,27 @@ def _check_certify_annihilator(s: Scenario, check: CheckSpec, scope: Mapping[str
     return FAIL, witness
 
 
-def _check_fourier_transport(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    ideal = s.ideal(check.params["ideal"], scope)
-    section = s.section(check.params["section"], scope)
-    polynomial = s.polynomial(check.params["polynomial"], scope)
-    spec = s.delta_module.fourier_spec()
-    if fourier_transport_check(spec, ideal, section, polynomial):
-        return PASS, {"polynomial": str(polynomial), "generators": len(ideal.generators)}
+def _check_fourier_transport(check: CheckSpec, ideal, section, polynomial) -> Verdict:
+    # The same test as deltamod.fourier_transport_check, run once for its witness.
     image = delta_to_polynomial(section)
     if image != polynomial:
         return FAIL, {"section_image": str(image), "polynomial": str(polynomial)}
-    for index, g in enumerate(ideal.generators, start=1):
-        residue = act_on_polynomial(partial_fourier(g, spec), polynomial)
-        if not residue.is_zero():
-            return FAIL, {
-                "index": index,
-                "failing_generator": str(g),
-                "image": str(residue),
-            }
-    return FAIL, {"reason": "transport check failed without a visible witness"}
+    spec = section.module.fourier_spec()
+    failure = _first_nonzero(
+        ideal.generators, lambda g: act_on_polynomial(partial_fourier(g, spec), polynomial)
+    )
+    if failure is None:
+        return PASS, {"polynomial": str(polynomial), "generators": len(ideal.generators)}
+    index, generator, residue = failure
+    return FAIL, {"index": index, "failing_generator": str(generator), "image": str(residue)}
 
 
-def _check_membership(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    ideal = s.ideal(check.params["ideal"], scope)
-    element = s.expression(check.params["element"], scope)
+def _check_membership(check: CheckSpec, ideal, element) -> Verdict:
     remainder = ideal.reduce(element)
     contained = remainder.is_zero()
     return _verdict_bool(
+        check,
         contained,
-        bool(_expected(check)),
         {
             "element": str(element),
             "contained": contained,
@@ -132,48 +117,34 @@ def _check_membership(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -
     )
 
 
-def _check_ideal_contains(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    outer = s.ideal(check.params["outer"], scope)
-    inner = s.ideal(check.params["inner"], scope)
-    for index, g in enumerate(inner.generators, start=1):
-        remainder = outer.reduce(g)
-        if not remainder.is_zero():
-            return _verdict_bool(
-                False,
-                bool(_expected(check)),
-                {
-                    "index": index,
-                    "failing_generator": str(g),
-                    "normal_form": str(remainder),
-                },
-            )
-    return _verdict_bool(True, bool(_expected(check)), {"generators": len(inner.generators)})
+def _check_ideal_contains(check: CheckSpec, outer, inner) -> Verdict:
+    failure = _first_nonzero(inner.generators, outer.reduce)
+    if failure is None:
+        return _verdict_bool(check, True, {"generators": len(inner.generators)})
+    index, generator, remainder = failure
+    witness = {"index": index, "failing_generator": str(generator), "normal_form": str(remainder)}
+    return _verdict_bool(check, False, witness)
 
 
-def _check_module_multiply(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    ideal = s.ideal(check.params["ideal"], scope)
-    factor = s.expression(check.params["factor"], scope)
-    inside = s.ideal(check.params["inside"], scope)
+def _check_module_multiply(check: CheckSpec, ideal, factor, inside) -> Verdict:
     products = module_multiply_ideal(ideal, factor)
-    for index, p in enumerate(products, start=1):
-        remainder = inside.reduce(p)
-        if not remainder.is_zero():
-            return FAIL, {
-                "index": index,
-                "factor": str(factor),
-                "product": str(p),
-                "normal_form": str(remainder),
-            }
-    return PASS, {"factor": str(factor), "products": len(products)}
+    failure = _first_nonzero(products, inside.reduce)
+    if failure is None:
+        return PASS, {"factor": str(factor), "products": len(products)}
+    index, product, remainder = failure
+    return FAIL, {
+        "index": index,
+        "factor": str(factor),
+        "product": str(product),
+        "normal_form": str(remainder),
+    }
 
 
-def _check_unit_ideal(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    ideal = s.ideal(check.params["ideal"], scope)
-    return _verdict_bool(ideal.is_unit(), bool(_expected(check)), {})
+def _check_unit_ideal(check: CheckSpec, ideal) -> Verdict:
+    return _verdict_bool(check, ideal.is_unit(), {})
 
 
-def _check_simplicity(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    ideal = s.ideal(check.params["ideal"], scope)
+def _check_simplicity(check: CheckSpec, ideal) -> Verdict:
     cert = simplicity_certificate(ideal)
     expected = _expected(check, {"verdict": "holonomic", "simple": "yes"})
     witness: dict[str, Any] = {
@@ -195,124 +166,93 @@ def _check_simplicity(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -
     return FAIL, witness
 
 
-def _check_interpolation(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    lmax = check.params["lmax"]
-    targets = [
-        (t["level"], s.expression(t["element"], scope)) for t in check.params["targets"]
-    ]
+def _check_interpolation(check: CheckSpec, targets, lmax, ideal) -> Verdict:
+    """``ideal`` maps a level to the ideal at that level."""
     lift = interpolation_lift(targets, lmax)
-    for level, element in targets:
-        level_scope = dict(scope)
-        level_scope["l"] = level
-        ideal = s.ideal(check.params["ideal"], level_scope)
-        remainder = ideal.reduce(lift - element)
-        if not remainder.is_zero():
-            return FAIL, {
-                "level": level,
-                "target": str(element),
-                "normal_form": str(remainder),
-                "lift": str(lift),
-            }
-    return PASS, {"lift": str(lift), "levels": [level for level, _ in targets]}
+    failure = _first_nonzero(targets, lambda t: ideal(t[0]).reduce(lift - t[1]))
+    if failure is None:
+        return PASS, {"lift": str(lift), "levels": [level for level, _ in targets]}
+    _, (level, element), remainder = failure
+    return FAIL, {
+        "level": level,
+        "target": str(element),
+        "normal_form": str(remainder),
+        "lift": str(lift),
+    }
 
 
-def _check_is_subalgebra(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    algebra = s.algebra(check.params["algebra"])
+def _check_is_subalgebra(check: CheckSpec, algebra) -> Verdict:
     defect = algebra.bracket_defect()
-    if defect is None:
-        return _verdict_bool(True, bool(_expected(check)), {"dimension": algebra.dimension})
-    return _verdict_bool(
-        False,
-        bool(_expected(check)),
-        {"dimension": algebra.dimension, "bracket_defect": list(defect)},
-    )
+    witness: dict[str, Any] = {"dimension": algebra.dimension}
+    if defect is not None:
+        witness["bracket_defect"] = list(defect)
+    return _verdict_bool(check, defect is None, witness)
 
 
-def _check_character_valid(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    character = s.character(check.params["character"], scope)
+def _check_character_valid(check: CheckSpec, character) -> Verdict:
     values = [str(v) for v in character.values]
     return _verdict_bool(
+        check,
         character.vanishes_on_brackets(),
-        bool(_expected(check)),
         {"values": values, "dimension": character.algebra.dimension},
     )
 
 
-def _check_twisted_containment(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    algebra = s.algebra(check.params["algebra"])
-    character = s.character(check.params["character"], scope)
-    ideal = s.ideal(check.params["ideal"], scope)
-    for index, op in enumerate(twisted_generators(algebra, character), start=1):
-        remainder = ideal.reduce(op)
-        if not remainder.is_zero():
-            return FAIL, {
-                "index": index,
-                "operator": str(op),
-                "normal_form": str(remainder),
-            }
-    return PASS, {"operators": algebra.dimension}
+def _check_twisted_containment(check: CheckSpec, algebra, character, ideal) -> Verdict:
+    failure = _first_nonzero(twisted_generators(algebra, character), ideal.reduce)
+    if failure is None:
+        return PASS, {"operators": algebra.dimension}
+    index, operator, remainder = failure
+    return FAIL, {"index": index, "operator": str(operator), "normal_form": str(remainder)}
 
 
-def _check_twisted_generates(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    algebra = s.algebra(check.params["algebra"])
-    character = s.character(check.params["character"], scope)
-    stated = s.ideal(check.params["ideal"], scope)
+def _check_twisted_generates(check: CheckSpec, algebra, character, ideal) -> Verdict:
     twisted = LeftIdeal(twisted_generators(algebra, character))
-    forward = ideal_contains(stated, twisted)
-    reverse = ideal_contains(twisted, stated)
+    forward = ideal_contains(ideal, twisted)
+    reverse = ideal_contains(twisted, ideal)
     witness = {
         "twisted_in_stated": forward,
         "stated_in_twisted": reverse,
         "twisted_generators": len(twisted.generators),
-        "stated_generators": len(stated.generators),
+        "stated_generators": len(ideal.generators),
     }
     return (PASS if forward and reverse else FAIL), witness
 
 
-def _check_kernel_element(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    total = WeylElement.zero(s.ambient)
-    rendered = []
-    for term in check.params["terms"]:
-        coeff = term.get("coeff", 1)
-        product = WeylElement.constant(coeff, s.ambient)
-        for factor in term["factors"]:
-            product = product * rho(parse_matrix_expr(factor, s.ambient))
-        total = total + product
-        rendered.append({"coeff": coeff, "factors": list(term["factors"])})
-    return _verdict_bool(
-        total.is_zero(), bool(_expected(check)), {"image": str(total), "terms": rendered}
-    )
+def _check_kernel_element(check: CheckSpec, terms) -> Verdict:
+    """``terms`` is the operator sum of coeff * rho(A_1) ... rho(A_k)."""
+    rendered = [
+        {"coeff": term.get("coeff", 1), "factors": list(term["factors"])}
+        for term in check.params["terms"]
+    ]
+    return _verdict_bool(check, terms.is_zero(), {"image": str(terms), "terms": rendered})
 
 
-def _check_variety_stable(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    algebra = s.algebra(check.params["algebra"])
-    chart = s.chart(check.params["chart"], scope)
+def _check_variety_stable(check: CheckSpec, algebra, chart) -> Verdict:
     equation_ideal = LeftIdeal(list(chart.equations))
-    for index, mat in enumerate(algebra.basis, start=1):
-        for equation in chart.equations:
-            derivative = apply_vector_field(mat, equation)
-            remainder = equation_ideal.reduce(derivative)
-            if not remainder.is_zero():
-                return _verdict_bool(
-                    False,
-                    bool(_expected(check)),
-                    {
-                        "basis_index": index,
-                        "equation": str(equation),
-                        "derivative": str(derivative),
-                        "normal_form": str(remainder),
-                    },
-                )
+    derivatives = (
+        (index, equation, apply_vector_field(mat, equation))
+        for index, mat in enumerate(algebra.basis, start=1)
+        for equation in chart.equations
+    )
+    failure = _first_nonzero(derivatives, lambda entry: equation_ideal.reduce(entry[2]))
+    if failure is None:
+        witness = {"equations": len(chart.equations), "fields": algebra.dimension}
+        return _verdict_bool(check, True, witness)
+    _, (index, equation, derivative), remainder = failure
     return _verdict_bool(
-        True,
-        bool(_expected(check)),
-        {"equations": len(chart.equations), "fields": algebra.dimension},
+        check,
+        False,
+        {
+            "basis_index": index,
+            "equation": str(equation),
+            "derivative": str(derivative),
+            "normal_form": str(remainder),
+        },
     )
 
 
-def _check_tangent_rank(s: Scenario, check: CheckSpec, scope: Mapping[str, int]) -> Verdict:
-    algebra = s.algebra(check.params["algebra"])
-    point = s.point(check.params["point"], scope)
+def _check_tangent_rank(check: CheckSpec, algebra, point) -> Verdict:
     rank = tangent_rank_at(algebra.basis, point)
     expected = _expected(check)
     witness = {
@@ -323,7 +263,9 @@ def _check_tangent_rank(s: Scenario, check: CheckSpec, scope: Mapping[str, int])
     return (PASS if rank == expected else FAIL), witness
 
 
-_HANDLERS: dict[str, Callable[[Scenario, CheckSpec, Mapping[str, int]], Verdict]] = {
+# One handler per check kind.  Each takes the check and, by field name, the
+# fields of its CHECK_SCHEMAS entry as ``Scenario.fields`` resolved them.
+_HANDLERS: dict[str, Callable[..., Verdict]] = {
     "annihilates": _check_annihilates,
     "sections_agree": _check_sections_agree,
     "certify_annihilator": _check_certify_annihilator,
@@ -345,9 +287,7 @@ _HANDLERS: dict[str, Callable[[Scenario, CheckSpec, Mapping[str, int]], Verdict]
 
 
 def _inputs(check: CheckSpec, scope: Mapping[str, int]) -> dict[str, Any]:
-    inputs: dict[str, Any] = {}
-    for field, value in sorted(check.params.items()):
-        inputs[field] = value
+    inputs: dict[str, Any] = dict(sorted(check.params.items()))
     if scope:
         inputs["parameters"] = dict(sorted(scope.items()))
     return inputs
@@ -363,7 +303,7 @@ def run_scenario(scenario: Scenario) -> dict[str, Any]:
         for instance_id, scope in check.instances():
             tick = time.perf_counter()
             try:
-                verdict, witness = handler(scenario, check, scope)
+                verdict, witness = handler(check, **scenario.fields(check, scope))
             except Exception as exc:  # noqa: BLE001 -- per-check isolation is the contract
                 verdict = ERROR
                 witness = {"error": type(exc).__name__, "message": str(exc)}

@@ -27,9 +27,11 @@ from .lie import (
     character_from_values,
     conjugate_subalgebra,
     parse_matrix_expr,
+    rho,
 )
 from .parser import parse_expression, parse_polynomial
 from .poly import Poly
+from .weyl import WeylElement
 
 BUILTIN_SCENARIOS = ("paper-n2", "paper-n3")
 
@@ -155,8 +157,9 @@ def _scope_key(scope: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
 
 # -- Schema ------------------------------------------------------------------
 
-# Fields each check kind resolves, by reference type; used both by the runner
-# dispatch and by load-time name validation.
+# Fields each check kind resolves, by type.  Load-time validation checks each
+# field against its type, and ``Scenario.fields`` resolves them in this order
+# for the runner's handler, which takes them by field name.
 CHECK_SCHEMAS: dict[str, dict[str, str]] = {
     "annihilates": {"ideal": "ideal", "section": "section"},
     "sections_agree": {"sections": "section_list"},
@@ -167,7 +170,7 @@ CHECK_SCHEMAS: dict[str, dict[str, str]] = {
     "module_multiply": {"ideal": "ideal", "factor": "expression", "inside": "ideal"},
     "unit_ideal": {"ideal": "ideal"},
     "simplicity": {"ideal": "ideal"},
-    "interpolation": {"targets": "target_list", "lmax": "int", "ideal": "ideal"},
+    "interpolation": {"targets": "target_list", "lmax": "int", "ideal": "ideal_family"},
     "is_subalgebra": {"algebra": "algebra"},
     "character_valid": {"character": "character"},
     "twisted_containment": {"algebra": "algebra", "character": "character", "ideal": "ideal"},
@@ -175,6 +178,18 @@ CHECK_SCHEMAS: dict[str, dict[str, str]] = {
     "kernel_element": {"terms": "kernel_terms"},
     "variety_stable": {"algebra": "algebra", "chart": "chart"},
     "tangent_rank": {"algebra": "algebra", "point": "point"},
+}
+
+# Named reference types and the scenario section their names live in.  A field
+# of one of these types resolves through the Scenario method of the same name.
+_REFERENCE_SECTIONS = {
+    "ideal": "ideals",
+    "section": "sections",
+    "polynomial": "polynomials",
+    "algebra": "subalgebras",
+    "character": "characters",
+    "chart": "charts",
+    "point": "points",
 }
 
 _CHECK_META = {"id", "kind", "provenance", "anchor", "expect", "foreach", "note"}
@@ -306,24 +321,17 @@ class Scenario:
         self._validate_expressions()
 
     def _validate_ref(self, check: CheckSpec, field: str, value: Any, ftype: str) -> None:
-        sections = {
-            "ideal": "ideals",
-            "section": "sections",
-            "polynomial": "polynomials",
-            "algebra": "subalgebras",
-            "character": "characters",
-            "chart": "charts",
-            "point": "points",
-        }
         def fail(message: str) -> ScenarioError:
             return ScenarioError(f"{self.name}: check {check.id!r}, field {field!r}: {message}")
 
-        if ftype in sections:
+        if ftype in _REFERENCE_SECTIONS:
             name = value["name"] if isinstance(value, dict) else value
             if not isinstance(name, str):
                 raise fail("reference must be a name or an object with a name")
-            if name not in self.raw.get(sections[ftype], {}):
+            if name not in self.raw.get(_REFERENCE_SECTIONS[ftype], {}):
                 raise fail(f"unresolved name: no {ftype} called {name!r}")
+        elif ftype == "ideal_family":
+            self._validate_ref(check, field, value, "ideal")
         elif ftype == "section_list":
             if not isinstance(value, list) or len(value) < 2:
                 raise fail("needs a list of at least two sections")
@@ -419,6 +427,38 @@ class Scenario:
 
     # -- resolution --
 
+    def fields(self, check: CheckSpec, scope: Mapping[str, int]) -> dict[str, Any]:
+        """The check's schema fields resolved under ``scope``, in schema order."""
+        return {
+            field: self._resolve(ftype, check.params[field], scope)
+            for field, ftype in CHECK_SCHEMAS[check.kind].items()
+        }
+
+    def _resolve(self, ftype: str, value: Any, scope: Mapping[str, int]) -> Any:
+        # Resolvers are looked up on the instance on every call, so a wrapper
+        # installed on the class (bench/tracer.py) sees each resolution.
+        if ftype in _REFERENCE_SECTIONS or ftype == "expression":
+            return getattr(self, ftype)(value, scope)
+        if ftype == "section_list":
+            return [self.section(ref, scope) for ref in value]
+        if ftype == "ideal_family":
+            return lambda level: self.ideal(value, {**scope, "l": level})
+        if ftype == "target_list":
+            return [(t["level"], self.expression(t["element"], scope)) for t in value]
+        if ftype == "kernel_terms":
+            return self._kernel_operator(value)
+        return value
+
+    def _kernel_operator(self, terms: Sequence[Mapping[str, Any]]) -> WeylElement:
+        """Sum over the terms of coeff * rho(A_1) ... rho(A_k) (coeff defaults to 1)."""
+        total = WeylElement.zero(self.ambient)
+        for term in terms:
+            product = WeylElement.constant(term.get("coeff", 1), self.ambient)
+            for factor in term["factors"]:
+                product = product * rho(parse_matrix_expr(factor, self.ambient))
+            total = total + product
+        return total
+
     def _named(self, section: str, name: str) -> Any:
         table = self.raw.get(section, {})
         if name not in table:
@@ -495,7 +535,9 @@ class Scenario:
         rows = self._named("matrices", name)
         return [[Fraction(e) for e in row] for row in rows]
 
-    def algebra(self, name: str) -> LieSubalgebra:
+    def algebra(self, name: str, scope: Mapping[str, int] | None = None) -> LieSubalgebra:
+        """Subalgebra bases take no parameters; ``scope`` is accepted so that
+        every reference type resolves through one call shape."""
         if name not in self._algebras:
             spec = self._named("subalgebras", name)
             if "conjugate_of" in spec:

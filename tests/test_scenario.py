@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from weylkit import (
     substitute,
 )
 from weylkit.report import check_lines
-from weylkit.scenario import template_vars
+from weylkit.scenario import CHECK_SCHEMAS, template_vars
 
 
 def test_eval_int_expr_arithmetic():
@@ -319,3 +320,89 @@ def test_negative_l_refused_by_every_resolver(n2_scenario):
             resolve(name, {"l": -1})
     with pytest.raises(ScenarioError, match=r"paper-n2: expression 'z1' \(l=-1\): parameter l"):
         n2_scenario.expression("z1", {"l": -1})
+
+
+def witness_check(check_id, kind, **fields):
+    return {"id": check_id, "kind": kind, "provenance": "TRIVIAL", **fields}
+
+
+# One failing instance of every check kind, on the delta module supported on
+# {z2 = 0}: delta is killed by d1 and z2, so "Ann" is its annihilator.
+FAILING_RAW = minimal_raw(
+    name="witnesses",
+    delta_module=[2],
+    ideals={
+        "Ann": {"generators": ["d1", "z2"]},
+        "Loose": {"generators": ["d1", "z1"]},
+        "Doubled": {"generators": ["d1", "z2^2"]},
+        "Shift": {"generators": ["z2 - {l}"]},
+        "Wide": {"generators": ["z2"]},
+    },
+    sections={"delta": "1", "zero": "z2", "d2delta": "d2"},
+    polynomials={"one": "1", "z1": "z1"},
+    subalgebras={"open": {"basis": ["E12", "E21"]}, "borel": {"basis": ["E11", "E12"]}},
+    characters={
+        "bad": {"algebra": "borel", "values": ["0", "1"]},
+        "one": {"algebra": "borel", "values": ["1", "0"]},
+    },
+    charts={"axis": {"equations": ["z1"]}},
+    points={"p": [1, 0]},
+    checks=[
+        witness_check("annihilates", "annihilates", ideal="Loose", section="delta"),
+        witness_check("sections-agree", "sections_agree", sections=["delta", "d2delta"]),
+        witness_check("certify-zero-section", "certify_annihilator", ideal="Ann", section="zero"),
+        witness_check("certify-generator", "certify_annihilator", ideal="Loose", section="delta"),
+        witness_check("certify-simplicity", "certify_annihilator", ideal="Doubled", section="delta"),
+        witness_check(
+            "fourier-image", "fourier_transport", ideal="Ann", section="delta", polynomial="z1"
+        ),
+        witness_check(
+            "fourier-residue", "fourier_transport", ideal="Loose", section="delta", polynomial="one"
+        ),
+        witness_check("membership", "membership", ideal="Ann", element="z1"),
+        witness_check("ideal-contains", "ideal_contains", outer="Ann", inner="Loose"),
+        witness_check("module-multiply", "module_multiply", ideal="Ann", factor="z1", inside="Ann"),
+        witness_check("unit-ideal", "unit_ideal", ideal="Ann"),
+        witness_check("simplicity", "simplicity", ideal="Wide"),
+        witness_check(
+            "interpolation",
+            "interpolation",
+            targets=[{"level": 0, "element": "z1"}, {"level": 1, "element": "1"}],
+            lmax=1,
+            ideal="Shift",
+        ),
+        witness_check("is-subalgebra", "is_subalgebra", algebra="open"),
+        witness_check("character-valid", "character_valid", character="bad"),
+        witness_check(
+            "twisted-containment", "twisted_containment", algebra="borel", character="one", ideal="Ann"
+        ),
+        witness_check(
+            "twisted-generates", "twisted_generates", algebra="borel", character="one", ideal="Ann"
+        ),
+        witness_check(
+            "kernel-element",
+            "kernel_element",
+            terms=[{"coeff": 2, "factors": ["E12", "E21"]}, {"factors": ["E11"]}],
+        ),
+        witness_check("variety-stable", "variety_stable", algebra="open", chart="axis"),
+        witness_check("tangent-rank", "tangent_rank", algebra="borel", point="p", expect=2),
+        witness_check("unbound-l", "membership", ideal="Shift", element="z2"),
+        witness_check(
+            "negative-l",
+            "membership",
+            ideal={"name": "Shift", "l": "l - 1"},
+            element="z2",
+            foreach={"l": [0]},
+        ),
+    ],
+)
+
+
+def test_failure_witnesses_of_every_kind():
+    # The frozen report pins every kind's failing witness, the three
+    # certify_annihilator stages, both fourier_transport branches and two
+    # resolution errors; the builtin goldens only record passes.
+    report = run_scenario(Scenario(FAILING_RAW))
+    assert {record["kind"] for record in report["checks"]} == set(CHECK_SCHEMAS)
+    frozen = (Path(__file__).parent / "data" / "failure-witnesses.json").read_text(encoding="utf-8")
+    assert render_json(report, include_timing=False) == frozen
