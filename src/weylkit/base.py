@@ -227,12 +227,6 @@ class SparseElement:
             raise ValueError("zero element has no degree")
         return max(m.total_degree() for m in self._terms)
 
-    def index_support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for mono in self._terms:
-            out |= mono.index_support()
-        return frozenset(out)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: DEFAULT_ORDER.key(kv[0]), reverse=True)
 

@@ -14,9 +14,18 @@ Division finds its divisor through a per-slot index of the basis leading
 monomials: one bisection per slot and an AND of bitmasks, whatever the basis
 size.
 
+Buchberger's pair update works on packed exponent vectors: each leading
+monomial is packed once, when it enters the basis, into one int with a
+field per slot whose top bit is a guard bit.  Divisibility, lcm, coprimality
+and the degrevlex key of an lcm then take a few integer operations, with no
+Monomial built per pair.  The field width follows the run's own degrees:
+when a leading monomial of higher degree arrives, the run repacks what it
+holds with wider fields, so a 10**9 exponent takes the same path.
+
 Chain criterion in G-algebras: V. Levandovskyy, PhD thesis, Kaiserslautern 2005.
 Pair update: R. Gebauer and H. M. Moeller, J. Symbolic Comput. 6 (1988).
 Divisibility index: O. Bachmann and H. Schoenemann, ISSAC 1998.
+Packed exponents: M. Monagan and R. Pearce, CASC 2007.
 """
 
 from __future__ import annotations
@@ -201,16 +210,65 @@ def s_polynomial(f: SparseElement, g: SparseElement) -> SparseElement:
     return f._make(out)
 
 
-def _may_skip_pair(f: SparseElement, g: SparseElement) -> bool:
-    lm_f = f.leading_monomial()
-    lm_g = g.leading_monomial()
-    if not lm_f.coprime(lm_g):
-        return False
-    if isinstance(f, Poly):
-        return True
-    # Operators: the classical criterion needs the generators to commute,
-    # which disjoint variable support guarantees.
-    return not (f.index_support() & g.index_support())
+class _PackedExponents:
+    """Monomials of a fixed number of slots packed into one int each.
+
+    Slot s takes the bits [s * width, (s + 1) * width), so the last slot sits
+    in the top field.  The top bit of every field is a guard bit that stays
+    clear in a packed monomial: the width puts twice ``degree`` below it, so
+    for monomials of at most that degree every exponent, every lcm of two of
+    them and every partial sum of an lcm's fields stays below it too.  Then,
+    with G the guard bits,
+
+    * ``((b | G) - a) & G`` has the guard bit of each field where a <= b set,
+      as no field borrows from its neighbour: a divides b iff it equals G;
+    * the same guard bits, spread over their fields, select the lcm;
+    * a and b are coprime iff lcm(a, b) == a + b, as a slot sum stays
+      below the guard bit of its field;
+    * the total degree is the top field of ``a * ones``, with ``ones`` one
+      1 per field, and ``key`` puts it above the complemented fields, the
+      last slot on top: degree reverse lexicographic, as ``DEFAULT_ORDER``.
+
+    A monomial of higher degree needs a new, wider packing.
+    """
+
+    __slots__ = ("width", "limit", "guard", "ones", "field", "top", "bits")
+
+    def __init__(self, slots: int, degree: int):
+        width = (2 * degree).bit_length() + 1
+        self.width = width
+        self.limit = 1 << (width - 1)
+        self.ones = sum(1 << (s * width) for s in range(slots))
+        self.guard = self.ones << (width - 1)
+        self.field = (1 << width) - 1
+        self.top = (slots - 1) * width
+        self.bits = slots * width
+
+    def pack(self, mono: Monomial) -> int:
+        width = self.width
+        out = 0
+        for e in reversed(mono.zexp + mono.dexp):
+            out = out << width | e
+        return out
+
+    def lcm(self, a: int, b: int) -> int:
+        ge = ((a | self.guard) - b) & self.guard
+        return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
+
+    def key(self, packed: int) -> int:
+        """Sorts like ``DEFAULT_ORDER.key`` of the monomial."""
+        degree = (packed * self.ones >> self.top) & self.field
+        return (degree << self.bits) - packed
+
+
+def _variable_support(element: SparseElement) -> int:
+    """Bit i - 1 is set when z_i or its companion occurs in some term."""
+    bits = 0
+    for mono in element.terms:
+        for i, (a, b) in enumerate(zip(mono.zexp, mono.dexp)):
+            if a or b:
+                bits |= 1 << i
+    return bits
 
 
 @dataclass(frozen=True)
@@ -284,6 +342,17 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     in ``pairs_processed`` when reduced, else in ``pairs_skipped_chain`` or
     ``pairs_skipped_commuting``.  A budget of reduced pairs from the
     WEYLKIT_GB_MAX_PAIRS environment variable aborts runaway computations.
+
+    The update runs on ``_PackedExponents``: the pending pairs, the queue
+    and the minimality test hold packed lcms and integer keys that sort
+    exactly like ``DEFAULT_ORDER.key``.  Each basis element caches its packed
+    leading monomial and a bitmask of the variables it involves (0 for
+    ``Poly``), so the product criterion is two integer tests: lcm(i, h) is
+    the sum of the packed monomials, and the variable masks are disjoint.
+    The fields start wide enough for twice the generators' largest degree.
+    A leading monomial of higher degree widens them: the leading monomials
+    and pending lcms are repacked, and the queue is rebuilt from the pending
+    pairs, whose pop order does not change.
     """
     limit = _pair_limit()
     gens = [g for g in generators if not g.is_zero()]
@@ -297,51 +366,75 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
         if g.ambient != ambient:
             raise ValueError("ambient mismatch in generators")
 
-    order_key = DEFAULT_ORDER.key
+    slots = 2 * ambient
+    commutative = issubclass(kind, Poly)
+    px = _PackedExponents(slots, max(g.total_degree() for g in gens))
     basis: list[SparseElement] = []
-    leading = _LeadingTerms(2 * ambient)
+    leading = _LeadingTerms(slots)
     lms = leading.monomials
+    # Per basis element: packed leading monomial and variable support.
+    packed: list[int] = []
+    supports: list[int] = []
     # Indices whose leading monomial no later one divides: only these get new pairs.
     active: list[int] = []
-    pending: dict[tuple[int, int], Monomial] = {}
-    queue: list[tuple[tuple, int, int]] = []
+    pending: dict[tuple[int, int], int] = {}
+    queue: list[tuple[int, int, int]] = []
     chain = commuting = 0
 
     def insert(h: SparseElement) -> None:
-        nonlocal active, chain, commuting
+        nonlocal px, active, chain, commuting
         h = h.monic()
         lm_h = h.leading_monomial()
+        if 2 * lm_h.total_degree() >= px.limit:
+            # Widen: repack the leading monomials and the pending lcms, and
+            # rebuild the queue from the pending pairs (stale entries drop).
+            px = _PackedExponents(slots, lm_h.total_degree())
+            packed[:] = map(px.pack, lms)
+            for i, k in pending:
+                pending[i, k] = px.lcm(packed[i], packed[k])
+            queue[:] = [(px.key(lcm), i, k) for (i, k), lcm in pending.items()]
+            heapq.heapify(queue)
+        guard = px.guard
+        lcm_of = px.lcm
+        p_h = px.pack(lm_h)
+        s_h = 0 if commutative else _variable_support(h)
         j = len(basis)
         for (i, k), lcm in list(pending.items()):
             if (
-                lm_h.divides(lcm)
-                and lms[i].lcm(lm_h) != lcm
-                and lms[k].lcm(lm_h) != lcm
+                ((lcm | guard) - p_h) & guard == guard
+                and lcm_of(packed[i], p_h) != lcm
+                and lcm_of(packed[k], p_h) != lcm
             ):
                 del pending[i, k]
                 chain += 1
         chain += j - len(active)
-        minimal: list[Monomial] = []
+        minimal: list[int] = []
         candidates = []
         for i in active:
-            lcm = lms[i].lcm(lm_h)
-            if _may_skip_pair(basis[i], h):
+            p_i = packed[i]
+            lcm = lcm_of(p_i, p_h)
+            if lcm == p_i + p_h and not supports[i] & s_h:
                 commuting += 1
                 minimal.append(lcm)
             else:
-                candidates.append((order_key(lcm), i, lcm))
+                candidates.append((px.key(lcm), i, lcm))
         # Ascending in the term order, every proper divisor comes first.
         candidates.sort()
         for key, i, lcm in candidates:
-            if any(m.divides(lcm) for m in minimal):
-                chain += 1
-                continue
-            minimal.append(lcm)
-            pending[i, j] = lcm
-            heapq.heappush(queue, (key, i, j))
-        active = [i for i in active if not lm_h.divides(lms[i])]
+            guarded = lcm | guard
+            for m in minimal:
+                if (guarded - m) & guard == guard:
+                    chain += 1
+                    break
+            else:
+                minimal.append(lcm)
+                pending[i, j] = lcm
+                heapq.heappush(queue, (key, i, j))
+        active = [i for i in active if ((packed[i] | guard) - p_h) & guard != guard]
         active.append(j)
         basis.append(h)
+        packed.append(p_h)
+        supports.append(s_h)
         leading.add(lm_h, h.leading_coefficient())
 
     for g in gens:

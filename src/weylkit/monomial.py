@@ -59,19 +59,6 @@ class Monomial(NamedTuple):
             tuple(map(max, self.dexp, other.dexp)),
         )
 
-    def coprime(self, other: "Monomial") -> bool:
-        """No slot is positive in both monomials."""
-        return all(
-            a == 0 or b == 0 for a, b in zip(self.slots(), other.slots())
-        )
-
-    def index_support(self) -> frozenset[int]:
-        """1-based variable indices i with z_i or the companion of z_i present."""
-        m = len(self.zexp)
-        return frozenset(
-            i + 1 for i in range(m) if self.zexp[i] or self.dexp[i]
-        )
-
 
 def unit_monomial(ambient: int) -> Monomial:
     return Monomial((0,) * ambient, (0,) * ambient)

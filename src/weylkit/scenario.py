@@ -535,9 +535,10 @@ class Scenario:
         rows = self._named("matrices", name)
         return [[Fraction(e) for e in row] for row in rows]
 
-    def algebra(self, name: str, scope: Mapping[str, int] | None = None) -> LieSubalgebra:
-        """Subalgebra bases take no parameters; ``scope`` is accepted so that
-        every reference type resolves through one call shape."""
+    def algebra(self, ref: Any, scope: Mapping[str, int] | None = None) -> LieSubalgebra:
+        """Subalgebra bases take no parameters: the reference's binding is
+        checked like any other, then only its name counts."""
+        name = self._split_ref("algebra", ref, scope)[0]
         if name not in self._algebras:
             spec = self._named("subalgebras", name)
             if "conjugate_of" in spec:

@@ -13,6 +13,9 @@ The oracles deliberately avoid the engine's closed-form algorithms:
 * Groebner bases are recomputed by Buchberger's algorithm with no pair
   criterion, reducing every S-pair, and interreduced by tail-reducing every
   element against all others until nothing moves,
+* the Gebauer-Moeller pair update is recomputed on ``Monomial`` tuples: lcm,
+  divisibility and the term order key per pair, and the product criterion
+  from coprime leading monomials and disjoint variable supports,
 * the Lie layer is recomputed densely: flattened matrices, span tests by
   comparing ``rank``, coordinates by ``solve`` and brackets by ``mat_mul``.
 
@@ -30,6 +33,7 @@ from itertools import combinations
 from weylkit import (
     DEFAULT_ORDER,
     DeltaModule,
+    GroebnerBasis,
     LeftIdeal,
     Monomial,
     Poly,
@@ -42,6 +46,7 @@ from weylkit import (
     s_polynomial,
     section_from_operator,
 )
+from weylkit.groebner import _divide, _interreduce, _LeadingTerms
 from weylkit.linalg import mat_mul, rank, solve
 from weylkit.weyl import PartialFourierSpec, d as d_op, z as z_op
 
@@ -345,6 +350,99 @@ def textbook_buchberger(generators) -> tuple:
             basis.append(remainder.monic())
             add_pairs(len(basis) - 1)
     return tuple(fixpoint_interreduce(basis)) if basis else ()
+
+
+def _coprime(a: Monomial, b: Monomial) -> bool:
+    return all(x == 0 or y == 0 for x, y in zip(a.slots(), b.slots()))
+
+
+def _index_support(element) -> frozenset[int]:
+    return frozenset(
+        i + 1
+        for mono in element.terms
+        for i, (a, b) in enumerate(zip(mono.zexp, mono.dexp))
+        if a or b
+    )
+
+
+def reference_buchberger(generators) -> GroebnerBasis:
+    """``buchberger`` with its pair update on ``Monomial`` tuples.
+
+    The same Gebauer-Moeller update, pair order and counters, but every lcm
+    is a ``Monomial``, every test a tuple comparison and every queue key
+    ``DEFAULT_ORDER.key``.  Returns the reduced basis and all four counters.
+    """
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return GroebnerBasis((), 0, 0, 0, 0)
+    order_key = DEFAULT_ORDER.key
+    basis = []
+    leading = _LeadingTerms(2 * gens[0].ambient)
+    lms = leading.monomials
+    active: list[int] = []
+    pending: dict[tuple[int, int], Monomial] = {}
+    queue: list = []
+    chain = commuting = 0
+
+    def may_skip(f, g) -> bool:
+        if not _coprime(f.leading_monomial(), g.leading_monomial()):
+            return False
+        if isinstance(f, Poly):
+            return True
+        return not (_index_support(f) & _index_support(g))
+
+    def insert(h) -> None:
+        nonlocal active, chain, commuting
+        h = h.monic()
+        lm_h = h.leading_monomial()
+        j = len(basis)
+        for (i, k), lcm in list(pending.items()):
+            if (
+                lm_h.divides(lcm)
+                and lms[i].lcm(lm_h) != lcm
+                and lms[k].lcm(lm_h) != lcm
+            ):
+                del pending[i, k]
+                chain += 1
+        chain += j - len(active)
+        minimal: list[Monomial] = []
+        candidates = []
+        for i in active:
+            lcm = lms[i].lcm(lm_h)
+            if may_skip(basis[i], h):
+                commuting += 1
+                minimal.append(lcm)
+            else:
+                candidates.append((order_key(lcm), i, lcm))
+        candidates.sort()
+        for key, i, lcm in candidates:
+            if any(m.divides(lcm) for m in minimal):
+                chain += 1
+                continue
+            minimal.append(lcm)
+            pending[i, j] = lcm
+            heapq.heappush(queue, (key, i, j))
+        active = [i for i in active if not lm_h.divides(lms[i])]
+        active.append(j)
+        basis.append(h)
+        leading.add(lm_h, h.leading_coefficient())
+
+    for g in gens:
+        insert(g)
+    processed = zero_reductions = 0
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        if pending.pop((i, j), None) is None:
+            continue
+        processed += 1
+        remainder = _divide(s_polynomial(basis[i], basis[j]), basis, leading, False)
+        if remainder.is_zero():
+            zero_reductions += 1
+        else:
+            insert(remainder)
+    return GroebnerBasis(
+        tuple(_interreduce(basis)), processed, zero_reductions, chain, commuting
+    )
 
 
 # -- Dense oracles for the Lie layer ------------------------------------------

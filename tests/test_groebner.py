@@ -11,6 +11,7 @@ from helpers import (
     fixpoint_interreduce,
     naive_reduce,
     random_element,
+    reference_buchberger,
     textbook_buchberger,
 )
 from weylkit import (
@@ -27,8 +28,9 @@ from weylkit import (
     reduce_element,
     s_polynomial,
 )
+from weylkit import groebner
 from weylkit.charvar import graded_ideal
-from weylkit.groebner import _LeadingTerms, _interreduce
+from weylkit.groebner import _LeadingTerms, _PackedExponents, _interreduce
 from weylkit.monomial import z_monomial
 from weylkit.weyl import WeylElement, d, z
 
@@ -200,12 +202,17 @@ def test_every_pair_is_reduced_or_skipped_by_one_criterion(n3_scenario):
     "scenario, name, l",
     [("n2_scenario", "I1l", l) for l in range(4)]
     + [("n2_scenario", "I3", None)]
-    + [("n3_scenario", "I1l", l) for l in range(3)],
+    + [("n3_scenario", "I1l", l) for l in range(3)]
+    + [("n3_scenario", "Idoubleprime", 1), ("n3_scenario", "I3", None)],
 )
 def test_buchberger_matches_criterion_free_oracle(request, scenario, name, l):
     ideal = request.getfixturevalue(scenario).ideal(name, {} if l is None else {"l": l})
     gens = list(ideal.generators)
-    assert buchberger(gens).elements == textbook_buchberger(gens)
+    basis = buchberger(gens)
+    assert basis.elements == textbook_buchberger(gens)
+    # The packed pair update makes the Monomial one's decisions: same basis,
+    # same four counters.
+    assert basis == reference_buchberger(gens)
     assert check_groebner_spairs(gens) >= 1
 
 
@@ -224,10 +231,81 @@ def test_buchberger_matches_criterion_free_oracle_on_random_ideals(monkeypatch):
         except PairLimitExceeded:
             continue
         assert basis.elements == textbook_buchberger(gens), [str(g) for g in gens]
+        assert basis == reference_buchberger(gens), [str(g) for g in gens]
         if basis.elements:
             check_groebner_spairs(gens)
         compared += 1
     assert compared >= 20
+
+
+@pytest.mark.parametrize("ambient", [1, 2, 3])
+def test_packed_exponents_match_monomial_arithmetic(ambient):
+    rng = random.Random(f"weylkit-packed-exponents:{ambient}")
+    degree = 6
+    px = _PackedExponents(2 * ambient, degree)
+
+    def draw():
+        slots = [0] * (2 * ambient)
+        for _ in range(rng.randint(0, degree)):
+            slots[rng.randrange(2 * ambient)] += 1
+        return Monomial(tuple(slots[:ambient]), tuple(slots[ambient:]))
+
+    monomials = [draw() for _ in range(60)]
+    guard = px.guard
+    for a in monomials:
+        for b in monomials:
+            lcm = px.lcm(px.pack(a), px.pack(b))
+            assert lcm == px.pack(a.lcm(b))
+            assert (((px.pack(b) | guard) - px.pack(a)) & guard == guard) == a.divides(b)
+            assert (lcm == px.pack(a) + px.pack(b)) == all(
+                x == 0 or y == 0 for x, y in zip(a.slots(), b.slots())
+            )
+    lcms = {a.lcm(b) for a in monomials for b in monomials}
+    assert sorted(lcms, key=lambda m: px.key(px.pack(m))) == sorted(lcms, key=DEFAULT_ORDER.key)
+
+
+def test_pair_update_on_huge_exponents():
+    # Fields are as wide as the run's degrees need: 10**9 packs into 32-bit
+    # fields on the same path as small exponents.
+    n = 10**9
+    poly = [
+        Poly(2, {Monomial((n, 0), (0, 1)): 1, Monomial((0, 1), (0, 0)): 1}),
+        Poly(2, {Monomial((n, 1), (0, 0)): 1, Monomial((0, 0), (0, 2)): 1}),
+        Poly(2, {Monomial((0, 2), (0, 1)): 1, Monomial((1, 0), (0, 0)): 3}),
+    ]
+    weyl = [
+        WeylElement(2, {Monomial((n, 0), (1, 0)): 1, Monomial((0, 1), (0, 0)): -1}),
+        WeylElement(2, {Monomial((n, 1), (0, 0)): 1, Monomial((0, 0), (0, 2)): -1}),
+    ]
+    bases = []
+    for gens in (poly, weyl):
+        started = time.perf_counter()
+        bases.append(buchberger(gens))
+        assert time.perf_counter() - started < 2.0
+        assert bases[-1] == reference_buchberger(gens)
+    assert max(m.zexp[0] for m in bases[0].leading_monomials()) == n + 1
+    assert bases[1].is_unit_ideal()
+
+
+def test_pair_update_widens_its_packing(monkeypatch, n3_scenario):
+    # The packing is sized by the generators' largest total degree; this
+    # basis gains leading monomials of twice that degree, one bit wider, so
+    # the run repacks its leading monomials, pending lcms and queue midway.
+    gens = [g for g in n3_scenario.ideal("I3").generators if not g.is_zero()]
+    expected = reference_buchberger(gens)
+    top = max(g.total_degree() for g in gens)
+    gained = max(m.total_degree() for m in expected.leading_monomials())
+    assert gained.bit_length() > top.bit_length()
+    widths = []
+
+    class Recording(_PackedExponents):
+        def __init__(self, slots, degree):
+            super().__init__(slots, degree)
+            widths.append(self.width)
+
+    monkeypatch.setattr(groebner, "_PackedExponents", Recording)
+    assert buchberger(gens) == expected
+    assert len(widths) >= 2 and widths == sorted(set(widths))
 
 
 @pytest.mark.parametrize(

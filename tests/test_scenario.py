@@ -322,6 +322,21 @@ def test_negative_l_refused_by_every_resolver(n2_scenario):
         n2_scenario.expression("z1", {"l": -1})
 
 
+def test_algebra_reference_by_name_or_object_gives_the_same_record():
+    records = []
+    for ref in ("b", {"name": "b"}):
+        raw = minimal_raw(
+            subalgebras={"b": {"basis": ["E11", "E12"]}},
+            checks=[witness_check("sub", "is_subalgebra", algebra=ref)],
+        )
+        (record,) = run_scenario(Scenario(raw))["checks"]
+        # The record echoes the reference as written; the rest must agree.
+        assert record.pop("inputs") == {"algebra": ref}
+        records.append(record)
+    assert records[0] == records[1]
+    assert records[0]["verdict"] == "pass"
+
+
 def witness_check(check_id, kind, **fields):
     return {"id": check_id, "kind": kind, "provenance": "TRIVIAL", **fields}
 
