@@ -3,7 +3,7 @@
 The package provides normally ordered arithmetic in the Weyl algebra with
 rational coefficients, left Groebner bases and ideal membership, Bernstein
 filtration characteristic varieties with holonomicity and simplicity
-certificates, delta-type module actions with partial Fourier transport,
+certificates, delta-type module actions with their partial Fourier images,
 Lie subalgebras acting through vector fields, and a scenario runner that
 turns declarative JSON check lists into deterministic verification reports.
 """
@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .charvar import (
     HolonomicityCertificate,
     ImproperIdealError,
-    characteristic_dimension,
     graded_ideal,
     krull_dimension,
     multiplicity,
@@ -25,12 +24,9 @@ from .deltamod import (
     DeltaSection,
     act,
     act_on_polynomial,
-    annihilates,
     certify_annihilator,
     delta,
     delta_to_polynomial,
-    fourier_intertwines,
-    fourier_transport_check,
     interpolation_lift,
     lagrange_projector,
     section_from_operator,
@@ -41,7 +37,6 @@ from .groebner import (
     PairLimitExceeded,
     buchberger,
     ideal_contains,
-    ideal_equal,
     module_multiply_ideal,
     reduce_element,
     s_polynomial,
@@ -49,17 +44,12 @@ from .groebner import (
 from .lie import (
     Character,
     LieSubalgebra,
-    bracket,
     character_from_values,
     conjugate_subalgebra,
-    elementary,
     parse_matrix_expr,
     rho,
     tangent_rank_at,
     twisted_generators,
-    variety_stable,
-    vector_field,
-    vector_field_operator,
 )
 from .monomial import Monomial
 from .orders import DEFAULT_ORDER, TermOrder
@@ -69,13 +59,10 @@ from .report import render_json, render_markdown, strip_timing
 from .runner import run_scenario
 from .scenario import Scenario, ScenarioError, eval_int_expr, load_scenario, substitute
 from .weyl import (
-    PartialFourierSpec,
     WeylElement,
     bernstein_degree,
-    commutator,
     partial_fourier,
     principal_symbol,
-    weyl_from_poly,
 )
 
 __all__ = [
@@ -91,7 +78,6 @@ __all__ = [
     "LieSubalgebra",
     "Monomial",
     "PairLimitExceeded",
-    "PartialFourierSpec",
     "Poly",
     "Scenario",
     "ScenarioError",
@@ -99,25 +85,17 @@ __all__ = [
     "WeylElement",
     "act",
     "act_on_polynomial",
-    "annihilates",
     "bernstein_degree",
-    "bracket",
     "buchberger",
     "certify_annihilator",
     "character_from_values",
-    "characteristic_dimension",
-    "commutator",
     "conjugate_subalgebra",
     "DEFAULT_ORDER",
     "delta",
     "delta_to_polynomial",
-    "elementary",
     "eval_int_expr",
-    "fourier_intertwines",
-    "fourier_transport_check",
     "graded_ideal",
     "ideal_contains",
-    "ideal_equal",
     "interpolation_lift",
     "krull_dimension",
     "lagrange_projector",
@@ -142,8 +120,4 @@ __all__ = [
     "substitute",
     "tangent_rank_at",
     "twisted_generators",
-    "variety_stable",
-    "vector_field",
-    "vector_field_operator",
-    "weyl_from_poly",
 ]

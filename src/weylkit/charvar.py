@@ -238,15 +238,6 @@ def _assert_bernstein(dim: int, m: int) -> None:
         )
 
 
-def characteristic_dimension(ideal: LeftIdeal) -> int:
-    """Dimension of the characteristic variety of the cyclic quotient module."""
-    _require_operator(ideal)
-    graded = graded_ideal(ideal)
-    dim = krull_dimension(graded)
-    _assert_bernstein(dim, ideal.ambient)
-    return dim
-
-
 @dataclass(frozen=True)
 class HolonomicityCertificate:
     """Outcome of the holonomicity and simplicity analysis of a cyclic module.

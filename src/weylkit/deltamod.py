@@ -20,7 +20,7 @@ from .charvar import HolonomicityCertificate, simplicity_certificate
 from .groebner import LeftIdeal
 from .monomial import Monomial
 from .poly import Poly
-from .weyl import PartialFourierSpec, WeylElement, partial_fourier
+from .weyl import WeylElement
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,6 @@ class DeltaModule:
         for i in self.support:
             if not 1 <= i <= self.ambient:
                 raise ValueError(f"variable index {i} out of range 1..{self.ambient}")
-
-    def fourier_spec(self) -> PartialFourierSpec:
-        return PartialFourierSpec(self.ambient, self.support)
 
 
 class DeltaSection:
@@ -174,48 +171,6 @@ def delta_to_polynomial(section: DeltaSection) -> Poly:
         ),
     )
     return Poly(m, out)
-
-
-def fourier_intertwines(op: WeylElement, section: DeltaSection) -> bool:
-    """Dictionary intertwining: moving the action through the partial Fourier map.
-
-    Checks phi(op . s) == F(op) . phi(s) where phi is delta_to_polynomial and
-    F is the partial Fourier automorphism on the module's directions.
-    """
-    spec = section.module.fourier_spec()
-    lhs = delta_to_polynomial(act(op, section))
-    rhs = act_on_polynomial(partial_fourier(op, spec), delta_to_polynomial(section))
-    return lhs == rhs
-
-
-def fourier_transport_check(
-    spec: PartialFourierSpec,
-    ideal: LeftIdeal,
-    section: DeltaSection,
-    polynomial: Poly,
-) -> bool:
-    """Transport an annihilation statement through the partial Fourier map.
-
-    The claimed polynomial must be the dictionary image of the section, and
-    the Fourier transform of every ideal generator must annihilate it (acting
-    on plain polynomials).  The transform directions have to be exactly the
-    section's distribution directions.
-    """
-    if spec.indices != section.module.support:
-        raise ValueError(
-            "subset mismatch: transform directions differ from the section's "
-            "distribution directions"
-        )
-    if delta_to_polynomial(section) != polynomial:
-        return False
-    return all(
-        act_on_polynomial(partial_fourier(g, spec), polynomial).is_zero()
-        for g in ideal.generators
-    )
-
-
-def annihilates(generators: Sequence[WeylElement], section: DeltaSection) -> bool:
-    return all(act(g, section).is_zero() for g in generators)
 
 
 def first_non_annihilating(

@@ -556,10 +556,6 @@ def ideal_contains(outer: LeftIdeal, inner: LeftIdeal) -> bool:
     return all(outer.contains(g) for g in inner.generators)
 
 
-def ideal_equal(a: LeftIdeal, b: LeftIdeal) -> bool:
-    return ideal_contains(a, b) and ideal_contains(b, a)
-
-
 def module_multiply_ideal(ideal: LeftIdeal, factor: SparseElement) -> list[SparseElement]:
     """Right-multiply every generator: the generators of the module I * factor.
 

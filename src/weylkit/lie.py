@@ -5,6 +5,7 @@ rho(A) = -sum a_ij z_j d_i, a Lie algebra homomorphism used to present
 modules by ideals rho(x) - chi(x); and the geometric vector field
 v_A = sum (Az)_i d_i used for orbit tangent spaces and variety stability.
 The two differ by a sign, which flips the bracket: v is an antihomomorphism.
+So v_A acts on polynomials as -rho(A) does, through ``act_on_polynomial``.
 
 A subalgebra does its linear algebra once, on sparse matrices (dicts of
 nonzero entries keyed by (row, column)).  Construction echelonizes the basis
@@ -23,22 +24,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .base import Scalar, as_fraction
-from .groebner import LeftIdeal
+from .deltamod import act_on_polynomial
 from .linalg import Matrix, Vector, invert, mat_mul, matrix, rank
 from .parser import ParseError
-from .poly import Poly, poly_z
+from .poly import Poly
 from .weyl import WeylElement, d, z
 
 # Nonzero entries of a matrix, keyed by 0-based (row, column).
 Sparse = dict[tuple[int, int], Fraction]
-
-
-def elementary(i: int, j: int, size: int) -> Matrix:
-    if not (1 <= i <= size and 1 <= j <= size):
-        raise ValueError(f"entry ({i}, {j}) out of range for size {size}")
-    out = [[Fraction(0)] * size for _ in range(size)]
-    out[i - 1][j - 1] = Fraction(1)
-    return out
 
 
 def _sparse(mat: Matrix) -> Sparse:
@@ -55,18 +48,6 @@ def _sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
             if j == i:
                 out[p, k] = out.get((p, k), 0) - y * x
     return {key: v for key, v in out.items() if v}
-
-
-def bracket(a: Matrix, b: Matrix) -> Matrix:
-    """[a, b] = ab - ba, dense in and out, computed by ``_sparse_bracket``."""
-    a, b = matrix(a), matrix(b)
-    size = len(a)
-    if len(b) != size or any(len(row) != size for row in a + b):
-        raise ValueError("bracket needs two square matrices of one size")
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for (i, j), v in _sparse_bracket(_sparse(a), _sparse(b)).items():
-        out[i][j] = v
-    return out
 
 
 def parse_matrix_expr(text: str, size: int) -> Matrix:
@@ -264,31 +245,6 @@ def rho(mat: Matrix, ambient: int | None = None) -> WeylElement:
     return out
 
 
-def vector_field(mat: Matrix) -> list[Poly]:
-    """Coefficients of the geometric vector field sum (Az)_i d_i.
-
-    Entry i is the polynomial (Az)_i multiplying d_i, i.e. the velocity of
-    coordinate z_{i+1} under the linear flow of A.  As a derivation this is
-    ``apply_vector_field``; as an operator it is -rho(A), and its brackets
-    come out reversed relative to the matrix bracket.
-    """
-    a = matrix(mat)
-    m = len(a)
-    out = []
-    for i in range(m):
-        entry = Poly.zero(m)
-        for j in range(m):
-            if a[i][j]:
-                entry = entry + poly_z(j + 1, m).scaled(a[i][j])
-        out.append(entry)
-    return out
-
-
-def vector_field_operator(mat: Matrix) -> WeylElement:
-    """The vector field as an operator, sum (Az)_i d_i = -rho(A)."""
-    return -rho(mat)
-
-
 def twisted_generators(algebra: LieSubalgebra, character: Character) -> list[WeylElement]:
     """Generators rho(x_k) - chi(x_k) of the induced presentation ideal."""
     if character.algebra is not algebra and character.algebra._basis != algebra._basis:
@@ -303,22 +259,7 @@ def apply_vector_field(mat: Matrix, polynomial: Poly) -> Poly:
     """Derivation action of v_A on a polynomial in the z variables only."""
     if any(any(mono.dexp) for mono in polynomial.terms):
         raise ValueError("vector fields act on polynomials without symbols")
-    field = vector_field(mat)
-    m = polynomial.ambient
-    if len(field) != m:
-        raise ValueError("matrix size must match the ambient variable count")
-    out = Poly.zero(m)
-    for i, velocity in enumerate(field, start=1):
-        partial = polynomial.derivative("z", i)
-        if velocity and partial:
-            out = out + velocity * partial
-    return out
-
-
-def variety_stable(mat: Matrix, ideal_generators: Sequence[Poly]) -> bool:
-    """Whether v_A maps the ideal of a variety into itself (infinitesimal stability)."""
-    ideal = LeftIdeal(list(ideal_generators))
-    return all(ideal.contains(apply_vector_field(mat, g)) for g in ideal_generators)
+    return act_on_polynomial(-rho(mat, polynomial.ambient), polynomial)
 
 
 def tangent_rank_at(basis: Sequence[Matrix], point: Sequence[Scalar]) -> int:

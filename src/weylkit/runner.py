@@ -14,10 +14,10 @@ from typing import Any, Callable, Iterable, Mapping
 from . import __version__
 from .charvar import simplicity_certificate
 from .deltamod import (
-    act,
     act_on_polynomial,
-    delta_to_polynomial,
     certify_annihilator,
+    delta_to_polynomial,
+    first_non_annihilating,
     interpolation_lift,
 )
 from .groebner import LeftIdeal, ideal_contains, module_multiply_ideal
@@ -54,10 +54,11 @@ def _first_nonzero(items: Iterable, image: Callable) -> tuple[int, Any, Any] | N
 
 
 def _check_annihilates(check: CheckSpec, ideal, section) -> Verdict:
-    failure = _first_nonzero(ideal.generators, lambda g: act(g, section))
+    failure = first_non_annihilating(ideal.generators, section)
     if failure is None:
         return PASS, {"generators": len(ideal.generators)}
-    index, generator, image = failure
+    index, image = failure
+    generator = ideal.generators[index - 1]
     return FAIL, {"index": index, "failing_generator": str(generator), "image": str(image)}
 
 
@@ -89,13 +90,14 @@ def _check_certify_annihilator(check: CheckSpec, ideal, section) -> Verdict:
 
 
 def _check_fourier_transport(check: CheckSpec, ideal, section, polynomial) -> Verdict:
-    # The same test as deltamod.fourier_transport_check, run once for its witness.
+    """The polynomial must be the section's dictionary image, and the Fourier
+    transform on the section's directions of every generator must kill it."""
     image = delta_to_polynomial(section)
     if image != polynomial:
         return FAIL, {"section_image": str(image), "polynomial": str(polynomial)}
-    spec = section.module.fourier_spec()
+    support = section.module.support
     failure = _first_nonzero(
-        ideal.generators, lambda g: act_on_polynomial(partial_fourier(g, spec), polynomial)
+        ideal.generators, lambda g: act_on_polynomial(partial_fourier(g, support), polynomial)
     )
     if failure is None:
         return PASS, {"polynomial": str(polynomial), "generators": len(ideal.generators)}

@@ -266,6 +266,9 @@ class Scenario:
             isinstance(i, int) and 1 <= i <= ambient for i in support
         ):
             raise ScenarioError(f"{name}: delta_module must list indices in 1..{ambient}")
+        for table in (*_REFERENCE_SECTIONS.values(), "matrices"):
+            if not isinstance(raw.get(table, {}), dict):
+                raise ScenarioError(f"{name}: {table} must be an object of named entries")
 
     def _check_spec(self, raw: Any) -> CheckSpec:
         if not isinstance(raw, dict):
@@ -285,6 +288,10 @@ class Scenario:
         if provenance == "PAPER" and not anchor:
             raise ScenarioError(f"{self.name}: check {cid!r} is PAPER-tagged but has no anchor")
         foreach_raw = raw.get("foreach", {})
+        if not isinstance(foreach_raw, dict):
+            raise ScenarioError(
+                f"{self.name}: check {cid!r} foreach must map parameter names to lists"
+            )
         foreach: dict[str, tuple[int, ...]] = {}
         for key, values in foreach_raw.items():
             if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
@@ -379,21 +386,68 @@ class Scenario:
         for name, text in self.raw.get("polynomials", {}).items():
             self._validate_template(f"polynomial {name!r}", text, parse_polynomial)
         for name, spec in self.raw.get("charts", {}).items():
-            for text in list(spec.get("equations", [])) + list(spec.get("inequations", [])):
+            if not isinstance(spec, dict) or not all(
+                isinstance(spec.get(field, []), list) for field in ("equations", "inequations")
+            ):
+                raise ScenarioError(
+                    f"{self.name}: chart {name!r} must be an object with equation lists"
+                )
+            for text in spec.get("equations", []) + spec.get("inequations", []):
                 self._validate_template(f"chart {name!r}", text, parse_polynomial)
-        for name in self.raw.get("subalgebras", {}):
-            self.algebra(name)
+        for name, coords in self.raw.get("points", {}).items():
+            if not isinstance(coords, list) or len(coords) != self.ambient:
+                raise ScenarioError(
+                    f"{self.name}: point {name!r} needs {self.ambient} coordinates"
+                )
+        self._validate_subalgebras()
         for name, spec in self.raw.get("characters", {}).items():
+            if not isinstance(spec, dict):
+                raise ScenarioError(f"{self.name}: character {name!r} must be an object")
             algebra_name = spec.get("algebra")
-            if algebra_name not in self.raw.get("subalgebras", {}):
+            if not isinstance(algebra_name, str) or algebra_name not in self.raw.get(
+                "subalgebras", {}
+            ):
                 raise ScenarioError(
                     f"{self.name}: character {name!r} references unknown subalgebra"
                 )
             values = spec.get("values", [])
-            if len(values) != self.algebra(algebra_name).dimension:
+            if not isinstance(values, list) or len(values) != self.algebra(algebra_name).dimension:
                 raise ScenarioError(
                     f"{self.name}: character {name!r} needs one value per basis element"
                 )
+
+    def _validate_subalgebras(self) -> None:
+        """Each subalgebra has a basis of matrix expressions, or is the
+        conjugate of another by a named matrix, with no cycle of conjugates."""
+        table = self.raw.get("subalgebras", {})
+        for name, spec in table.items():
+            label = f"{self.name}: subalgebra {name!r}"
+            if not isinstance(spec, dict):
+                raise ScenarioError(f"{label} must be an object")
+            if "conjugate_of" in spec:
+                if not isinstance(spec["conjugate_of"], str) or spec["conjugate_of"] not in table:
+                    raise ScenarioError(f"{label} is conjugate_of an unknown subalgebra")
+                if not isinstance(spec.get("by"), str):
+                    raise ScenarioError(f"{label} needs a 'by' matrix for conjugate_of")
+            elif not isinstance(spec.get("basis"), list) or not all(
+                isinstance(text, str) for text in spec["basis"]
+            ):
+                raise ScenarioError(f"{label} needs a basis list or conjugate_of")
+        for name in table:
+            chain = [name]
+            while "conjugate_of" in table[chain[-1]]:
+                chain.append(table[chain[-1]]["conjugate_of"])
+                if chain[-1] in chain[:-1]:
+                    raise ScenarioError(
+                        f"{self.name}: subalgebra {name!r} has a conjugate_of cycle "
+                        + " -> ".join(chain)
+                    )
+            try:
+                self.algebra(name)
+            except ScenarioError:
+                raise
+            except ValueError as exc:
+                raise ScenarioError(f"{self.name}: subalgebra {name!r}: {exc}") from exc
 
     def _validate_template(self, label: str, text: Any, parse) -> None:
         if not isinstance(text, str):
@@ -574,8 +628,6 @@ class Scenario:
     def point(self, ref: Any, scope: Mapping[str, int] | None = None) -> list[Fraction]:
         name, bound, label = self._split_ref("point", ref, scope)
         coords = self._named("points", name)
-        if len(coords) != self.ambient:
-            raise ScenarioError(f"{self.name}: {label} needs {self.ambient} coordinates")
         return [Fraction(eval_int_expr(str(c), bound)) for c in coords]
 
     def expression(self, text: str, scope: Mapping[str, int] | None = None):

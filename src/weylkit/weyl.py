@@ -9,14 +9,13 @@ algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
-from typing import Iterable
+from typing import AbstractSet
 
-from .base import Scalar, SparseElement, format_terms
+from .base import SparseElement, format_terms
 from .monomial import Monomial, d_monomial, z_monomial
 from .poly import Poly
 
@@ -65,10 +64,6 @@ class WeylElement(SparseElement):
         return f"WeylElement({self.ambient}, {self!s})"
 
 
-def weyl_constant(value: Scalar, ambient: int) -> WeylElement:
-    return WeylElement.constant(value, ambient)
-
-
 def z(i: int, ambient: int, power: int = 1) -> WeylElement:
     return WeylElement.from_monomial(z_monomial(i, ambient, power))
 
@@ -77,56 +72,17 @@ def d(i: int, ambient: int, power: int = 1) -> WeylElement:
     return WeylElement.from_monomial(d_monomial(i, ambient, power))
 
 
-def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    return a * b - b * a
+def partial_fourier(element: WeylElement, indices: AbstractSet[int]) -> WeylElement:
+    """Apply the partial Fourier automorphism on the 1-based ``indices``.
 
-
-def normalize(ambient: int, word: Iterable[tuple[str, int, int]], coeff: Scalar = 1) -> WeylElement:
-    """Normal form of a product of generator powers given in written order.
-
-    ``word`` lists (kind, index, power) factors with kind "z" or "d".
-    """
-    result = weyl_constant(coeff, ambient)
-    for kind, index, power in word:
-        if kind == "z":
-            factor = z(index, ambient, power)
-        elif kind == "d":
-            factor = d(index, ambient, power)
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
-        result = result * factor
-    return result
-
-
-@dataclass(frozen=True)
-class PartialFourierSpec:
-    """Indices along which the Fourier automorphism acts.
-
-    On the chosen indices the substitution is z_i -> d_i, d_i -> -z_i;
-    the remaining variables are untouched.
-    """
-
-    ambient: int
-    indices: frozenset[int]
-
-    def __post_init__(self):
-        for i in self.indices:
-            if not 1 <= i <= self.ambient:
-                raise ValueError(f"variable index {i} out of range 1..{self.ambient}")
-
-    def transforms(self, i: int) -> bool:
-        return i in self.indices
-
-
-def partial_fourier(element: WeylElement, spec: PartialFourierSpec) -> WeylElement:
-    """Apply the partial Fourier automorphism to a normally ordered element.
-
+    On those variables z_i -> d_i and d_i -> -z_i; the others are untouched.
     Each monomial z^a d^b is read as the ordered product of its generator
     powers; images are multiplied in that order and renormalized, which is
     exactly how an algebra automorphism acts on a word.
     """
-    if element.ambient != spec.ambient:
-        raise ValueError("ambient mismatch between element and transform")
+    for i in indices:
+        if not 1 <= i <= element.ambient:
+            raise ValueError(f"variable index {i} out of range 1..{element.ambient}")
     m = element.ambient
     out = WeylElement.zero(m)
     for mono, coeff in element:
@@ -134,11 +90,11 @@ def partial_fourier(element: WeylElement, spec: PartialFourierSpec) -> WeylEleme
         for i in range(1, m + 1):
             p = mono.zexp[i - 1]
             if p:
-                acc = acc * (d(i, m, p) if spec.transforms(i) else z(i, m, p))
+                acc = acc * (d(i, m, p) if i in indices else z(i, m, p))
         for i in range(1, m + 1):
             p = mono.dexp[i - 1]
             if p:
-                if spec.transforms(i):
+                if i in indices:
                     acc = acc * z(i, m, p).scaled(Fraction((-1) ** p))
                 else:
                     acc = acc * d(i, m, p)
@@ -159,7 +115,3 @@ def principal_symbol(element: WeylElement) -> Poly:
     keep = {m: c for m, c in element if m.total_degree() == top}
     return Poly(element.ambient, keep)
 
-
-def weyl_from_poly(symbol: Poly) -> WeylElement:
-    """Read a commutative polynomial in z, zeta as a normally ordered operator."""
-    return WeylElement(symbol.ambient, dict(symbol.terms))

@@ -48,7 +48,7 @@ from weylkit import (
 )
 from weylkit.groebner import _divide, _interreduce, _LeadingTerms
 from weylkit.linalg import mat_mul, rank, solve
-from weylkit.weyl import PartialFourierSpec, d as d_op, z as z_op
+from weylkit.weyl import d as d_op, z as z_op
 
 Letter = tuple[str, int]
 
@@ -511,7 +511,7 @@ def check_bernstein_inequality(seed: str, ambient: int = 2, rounds: int = 12) ->
     """
     import os
 
-    from weylkit import ImproperIdealError, characteristic_dimension
+    from weylkit import ImproperIdealError, graded_ideal, krull_dimension
     from weylkit.groebner import PAIR_LIMIT_ENV, PairLimitExceeded
 
     rng = random.Random(seed)
@@ -525,7 +525,7 @@ def check_bernstein_inequality(seed: str, ambient: int = 2, rounds: int = 12) ->
                 for _ in range(rng.randint(1, 2))
             ]
             try:
-                dimension = characteristic_dimension(LeftIdeal(generators))
+                dimension = krull_dimension(graded_ideal(LeftIdeal(generators)))
             except (ImproperIdealError, PairLimitExceeded):
                 continue
             assert dimension >= ambient, [str(g) for g in generators]
@@ -542,18 +542,18 @@ def check_bernstein_inequality(seed: str, ambient: int = 2, rounds: int = 12) ->
 def check_fourier_involution(seed: str, ambient: int = 3, rounds: int = 40) -> int:
     """The partial transform has order four and squares to the antipode."""
     rng = random.Random(seed)
-    spec = PartialFourierSpec(ambient=ambient, indices=frozenset({1, 3}))
+    indices = frozenset({1, 3})
     for _ in range(rounds):
         p = random_element(rng, ambient)
-        once = partial_fourier(p, spec)
-        twice = partial_fourier(once, spec)
-        fourth = partial_fourier(partial_fourier(twice, spec), spec)
+        once = partial_fourier(p, indices)
+        twice = partial_fourier(once, indices)
+        fourth = partial_fourier(partial_fourier(twice, indices), indices)
         assert fourth == p
         antipode = WeylElement(
             ambient,
             {
                 mono: coeff * (-1) ** sum(
-                    mono.zexp[i - 1] + mono.dexp[i - 1] for i in spec.indices
+                    mono.zexp[i - 1] + mono.dexp[i - 1] for i in indices
                 )
                 for mono, coeff in p.terms.items()
             },

@@ -30,7 +30,6 @@ from weylkit import (
     PairLimitExceeded,
     Poly,
     buchberger,
-    characteristic_dimension,
     graded_ideal,
     krull_dimension,
     multiplicity,
@@ -137,13 +136,11 @@ def test_unit_ideal_is_rejected():
         graded_ideal(unit)
     with pytest.raises(ImproperIdealError):
         simplicity_certificate(unit)
-    with pytest.raises(ImproperIdealError):
-        characteristic_dimension(unit)
 
 
 def test_characteristic_dimension_shortcut():
-    assert characteristic_dimension(I3) == 5
-    assert characteristic_dimension(i1l(0)) == 4
+    assert krull_dimension(graded_ideal(I3)) == 5
+    assert krull_dimension(graded_ideal(i1l(0))) == 4
 
 
 def test_bernstein_inequality_on_random_ideals():

@@ -1,10 +1,22 @@
 """The package's public surface."""
 
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import weylkit
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tracer():
+    path = ROOT / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("weylkit_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_all_names_resolve_without_duplicates():
@@ -15,12 +27,8 @@ def test_all_names_resolve_without_duplicates():
 
 def test_bench_tracer_targets_resolve():
     """Every function the benchmark's span tracer wraps still exists."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("weylkit_bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
     missing = []
-    for span, owner, attr in tracer.TARGETS:
+    for span, owner, attr in load_tracer().TARGETS:
         module_name, _, class_name = owner.partition(":")
         module = importlib.import_module(module_name)
         if class_name:
@@ -30,3 +38,24 @@ def test_bench_tracer_targets_resolve():
         if not found:
             missing.append(span)
     assert missing == []
+
+
+def test_every_export_has_a_use_outside_the_tests():
+    """An exported name is used by package code, wrapped by the benchmark's
+    tracer, or documented in README's Library section; names only tests call
+    do not belong in the package."""
+    used = set()
+    for path in Path(weylkit.__file__).resolve().parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    traced = {attr for _, _, attr in load_tracer().TARGETS}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"\w+", library))
+    unused = [name for name in weylkit.__all__ if name not in used | traced | documented]
+    assert unused == []

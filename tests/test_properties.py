@@ -1,5 +1,6 @@
 """Hypothesis properties: the division identity, uniqueness of reduced normal
-forms, and the parse/print round trip.
+forms, the parse/print round trip, and the partial Fourier transform (its
+order four and its intertwining of the delta-module action).
 
 Examples are derandomized and no example database is kept, so every run
 draws the same sample.
@@ -13,11 +14,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from weylkit import (
+    DeltaSection,
     Monomial,
     Poly,
+    act,
+    act_on_polynomial,
+    delta_to_polynomial,
     load_scenario,
     parse_expression,
     parse_polynomial,
+    partial_fourier,
     reduce_element,
 )
 from weylkit.charvar import graded_ideal
@@ -115,3 +121,50 @@ def test_operator_print_parse_round_trip(element):
 @given(st.integers(1, 3).flatmap(lambda m: elements(Poly, m)))
 def test_polynomial_print_parse_round_trip(element):
     assert parse_polynomial(str(element), ambient=element.ambient) == element
+
+
+@st.composite
+def paper_n2_sections(draw):
+    """A section of the paper-n2 delta module: z only off S, d only on S."""
+    module = load_scenario("paper-n2").delta_module
+    m = module.ambient
+    exponents = st.lists(st.integers(0, 2), min_size=m, max_size=m)
+
+    def monomial(e):
+        zexp = tuple(0 if i + 1 in module.support else x for i, x in enumerate(e))
+        dexp = tuple(x if i + 1 in module.support else 0 for i, x in enumerate(e))
+        return Monomial(zexp, dexp)
+
+    terms = draw(st.dictionaries(exponents.map(tuple).map(monomial), COEFFICIENTS, max_size=3))
+    return DeltaSection(module, Poly(m, terms))
+
+
+@PROPERTY
+@given(paper_n2_sections(), elements(WeylElement, 4, max_terms=3, max_exp=2))
+def test_fourier_intertwines_the_delta_action(section, op):
+    transformed = partial_fourier(op, section.module.support)
+    image = delta_to_polynomial(section)
+    assert delta_to_polynomial(act(op, section)) == act_on_polynomial(transformed, image)
+
+
+@st.composite
+def operators_and_index_sets(draw):
+    m = draw(st.integers(1, 3))
+    indices = draw(st.frozensets(st.integers(1, m)))
+    return draw(elements(WeylElement, m)), indices
+
+
+@PROPERTY
+@given(operators_and_index_sets())
+def test_fourier_has_order_four_and_squares_to_the_antipode(case):
+    p, indices = case
+    twice = partial_fourier(partial_fourier(p, indices), indices)
+    antipode = WeylElement(
+        p.ambient,
+        {
+            mono: coeff * (-1) ** sum(mono.zexp[i - 1] + mono.dexp[i - 1] for i in indices)
+            for mono, coeff in p
+        },
+    )
+    assert twice == antipode
+    assert partial_fourier(partial_fourier(twice, indices), indices) == p

@@ -1,11 +1,15 @@
 """Scenario files: templating, validation, execution, and report rendering."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import weylkit
 from weylkit import (
     Scenario,
     ScenarioError,
@@ -146,6 +150,55 @@ def test_paper_provenance_requires_anchor():
 def test_invalid_provenance_rejected():
     with pytest.raises(ScenarioError, match="provenance"):
         scenario_with_checks(check(provenance="GUESS"))
+
+
+MALFORMED = {
+    "conjugate-cycle": (
+        {
+            "matrices": {"m": [[1, 0], [0, 1]]},
+            "subalgebras": {"a": {"conjugate_of": "a", "by": "m"}},
+        },
+        "subalgebra 'a' has a conjugate_of cycle",
+    ),
+    "no-basis": ({"subalgebras": {"a": {}}}, "subalgebra 'a' needs a basis"),
+    "conjugate-without-by": (
+        {"subalgebras": {"b": {"basis": ["E11"]}, "a": {"conjugate_of": "b"}}},
+        "subalgebra 'a' needs a 'by' matrix",
+    ),
+    "character-not-object": ({"characters": {"c": 3}}, "character 'c' must be an object"),
+    "foreach-list": (
+        {"ideals": {"J": {"generators": ["z1"]}}, "checks": [check(foreach=[1])]},
+        "check 'c1' foreach must map",
+    ),
+    "sections-list": ({"sections": ["x"]}, "sections must be an object"),
+    "chart-equations-string": (
+        {"charts": {"c": {"equations": "z1"}}},
+        "chart 'c' must be an object with equation lists",
+    ),
+    "short-point": ({"points": {"p": [1]}}, "point 'p' needs 2 coordinates"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenarios_fail_at_load_time_with_a_named_error(tmp_path, case):
+    overrides, message = MALFORMED[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(minimal_raw(**overrides)), encoding="utf-8")
+    with pytest.raises(ScenarioError, match=f"^unit: {message}"):
+        load_scenario(str(path))
+    env = dict(os.environ)
+    src = str(Path(weylkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "weylkit", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: unit: {message}")
+    assert "Traceback" not in done.stdout + done.stderr
 
 
 def test_legacy_sweep_key_is_ignored(tmp_path, n2_report):

@@ -19,14 +19,12 @@ from weylkit import (
     Monomial,
     WeylElement,
     bernstein_degree,
-    commutator,
     partial_fourier,
     principal_symbol,
-    weyl_from_poly,
 )
 from weylkit.poly import Poly, poly_z, poly_zeta
 from weylkit import weyl
-from weylkit.weyl import PartialFourierSpec, _reorder_one_variable, d, normalize, z
+from weylkit.weyl import _reorder_one_variable, d, z
 
 
 def test_defining_relation():
@@ -43,9 +41,9 @@ def test_commutator_of_generators():
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             expected = WeylElement.one(m) if i == j else WeylElement.zero(m)
-            assert commutator(d(i, m), z(j, m)) == expected
-            assert commutator(z(i, m), z(j, m)).is_zero()
-            assert commutator(d(i, m), d(j, m)).is_zero()
+            assert d(i, m) * z(j, m) - z(j, m) * d(i, m) == expected
+            assert (z(i, m) * z(j, m) - z(j, m) * z(i, m)).is_zero()
+            assert (d(i, m) * d(j, m) - d(j, m) * d(i, m)).is_zero()
 
 
 def test_power_reordering_closed_form():
@@ -110,16 +108,13 @@ def test_normalize_matches_oracle():
     letters = tuple(
         (kind, index) for kind, index, power in word for _ in range(power)
     )
-    engine = normalize(2, word, coeff=Fraction(3, 2))
+    engine = WeylElement.constant(Fraction(3, 2), 2)
+    for kind, index, power in word:
+        engine = engine * {"z": z, "d": d}[kind](index, 2, power)
     oracle = {
         mono: Fraction(3, 2) * c for mono, c in oracle_normal_form(letters, 2).items()
     }
     assert dict(engine.terms) == oracle
-
-
-def test_normalize_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        normalize(1, [("x", 1, 1)])
 
 
 def test_word_products_match_oracle_sample(monkeypatch):
@@ -156,8 +151,9 @@ def test_commutator_is_a_derivation():
         a = random_element(rng, 2)
         b = random_element(rng, 2)
         c = random_element(rng, 2)
-        assert commutator(a, b * c) == commutator(a, b) * c + b * commutator(a, c)
-        assert commutator(a, b) == -commutator(b, a)
+        ab, ac = a * b - b * a, a * c - c * a
+        assert a * (b * c) - (b * c) * a == ab * c + b * ac
+        assert ab == -(b * a - a * b)
 
 
 def test_bernstein_degree_basics():
@@ -195,7 +191,7 @@ def test_symbol_forgets_lower_order_terms():
     assert principal_symbol(d(1, 1) * z(1, 1)) == poly_z(1, 1) * poly_zeta(1, 1)
 
 
-def test_weyl_from_poly_round_trip():
+def test_symbol_of_a_read_back_monomial_round_trips():
     rng = random.Random("weylkit-symbol-lift")
     for _ in range(20):
         mono = Monomial(
@@ -203,25 +199,26 @@ def test_weyl_from_poly_round_trip():
             tuple(rng.randint(0, 2) for _ in range(3)),
         )
         symbol = Poly.from_monomial(mono, Fraction(rng.randint(1, 5)))
-        assert principal_symbol(weyl_from_poly(symbol)) == symbol
+        assert principal_symbol(WeylElement(symbol.ambient, dict(symbol.terms))) == symbol
 
 
 def test_partial_fourier_generator_images():
-    spec = PartialFourierSpec(ambient=2, indices=frozenset({2}))
-    assert partial_fourier(z(2, 2), spec) == d(2, 2)
-    assert partial_fourier(d(2, 2), spec) == -z(2, 2)
-    assert partial_fourier(z(1, 2), spec) == z(1, 2)
-    assert partial_fourier(d(1, 2), spec) == d(1, 2)
+    indices = frozenset({2})
+    assert partial_fourier(z(2, 2), indices) == d(2, 2)
+    assert partial_fourier(d(2, 2), indices) == -z(2, 2)
+    assert partial_fourier(z(1, 2), indices) == z(1, 2)
+    assert partial_fourier(d(1, 2), indices) == d(1, 2)
 
 
 def test_partial_fourier_is_an_algebra_map():
     rng = random.Random("weylkit-fourier-algebra")
-    spec = PartialFourierSpec(ambient=3, indices=frozenset({1, 3}))
+    indices = frozenset({1, 3})
     for _ in range(20):
         a = random_element(rng, 3)
         b = random_element(rng, 3)
-        assert partial_fourier(a * b, spec) == partial_fourier(a, spec) * partial_fourier(b, spec)
-        assert partial_fourier(a + b, spec) == partial_fourier(a, spec) + partial_fourier(b, spec)
+        fa, fb = partial_fourier(a, indices), partial_fourier(b, indices)
+        assert partial_fourier(a * b, indices) == fa * fb
+        assert partial_fourier(a + b, indices) == fa + fb
 
 
 def test_fourier_involution_sample():
@@ -229,8 +226,8 @@ def test_fourier_involution_sample():
 
 
 def test_fourier_spec_validates_indices():
-    with pytest.raises(ValueError):
-        PartialFourierSpec(ambient=2, indices=frozenset({3}))
+    with pytest.raises(ValueError, match=r"variable index 3 out of range 1\.\.2"):
+        partial_fourier(z(1, 2), frozenset({3}))
 
 
 def test_word_element_round_trip():
