@@ -8,9 +8,8 @@ operator ring; only the product differs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-from .base import Scalar, SparseElement, as_fraction, format_terms
+from .base import SparseElement, format_terms
 from .monomial import Monomial, d_monomial, z_monomial
 
 
@@ -52,23 +51,6 @@ class Poly(SparseElement):
             # Lowering one exponent is injective, so no two terms meet here.
             out[new] = coeff * e
         return Poly(self.ambient, out)
-
-    def evaluate(self, zvals: Sequence[Scalar], zetavals: Sequence[Scalar]) -> Fraction:
-        if len(zvals) != self.ambient or len(zetavals) != self.ambient:
-            raise ValueError("evaluation point has wrong length")
-        zs = [as_fraction(v) for v in zvals]
-        zetas = [as_fraction(v) for v in zetavals]
-        total = Fraction(0)
-        for mono, coeff in self:
-            value = coeff
-            for v, e in zip(zs, mono.zexp):
-                if e:
-                    value *= v**e
-            for v, e in zip(zetas, mono.dexp):
-                if e:
-                    value *= v**e
-            total += value
-        return total
 
 
 def poly_z(i: int, ambient: int, power: int = 1) -> Poly:

@@ -231,15 +231,15 @@ def _check_kernel_element(check: CheckSpec, terms) -> Verdict:
 
 
 def _check_variety_stable(check: CheckSpec, algebra, chart) -> Verdict:
-    equation_ideal = LeftIdeal(list(chart.equations))
+    equation_ideal = LeftIdeal(list(chart))
     derivatives = (
         (index, equation, apply_vector_field(mat, equation))
         for index, mat in enumerate(algebra.basis, start=1)
-        for equation in chart.equations
+        for equation in chart
     )
     failure = _first_nonzero(derivatives, lambda entry: equation_ideal.reduce(entry[2]))
     if failure is None:
-        witness = {"equations": len(chart.equations), "fields": algebra.dimension}
+        witness = {"equations": len(chart), "fields": algebra.dimension}
         return _verdict_bool(check, True, witness)
     _, (index, equation, derivative), remainder = failure
     return _verdict_bool(

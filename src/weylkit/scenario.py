@@ -1,23 +1,29 @@
 """Scenario files: declarative descriptions of verification runs.
 
-A scenario is a JSON document naming an ambient coordinate count, a family of
-ideals, delta-module sections, matrix subalgebras with characters, orbit
-charts, and a list of checks.  Expression fields use the operator grammar
-verbatim; occurrences of ``{...}`` inside them are integer templates filled
-in from the active parameter scope (for example a ``foreach`` parameter l),
-so one ideal definition covers a whole parameter family.
+A scenario is a JSON document naming an ambient coordinate count, tables of
+named ideals, delta-module sections, polynomials, matrix subalgebras with
+characters, orbit charts, points and matrices, and a list of checks.
+Expression fields use the operator grammar verbatim; occurrences of ``{...}``
+inside them are integer templates filled in from the active parameter scope
+(for example a ``foreach`` parameter l), so one ideal definition covers a
+whole parameter family.
+
+Loading validates every table entry by resolving it: once under each binding
+of its parameters that the checks' ``foreach`` lists give.  What load builds
+stays cached, so the checks read it at run time without parsing again.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import product
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .deltamod import DeltaModule, DeltaSection, section_from_operator
 from .groebner import LeftIdeal
@@ -151,10 +157,6 @@ def substitute(text: str, scope: Mapping[str, int] | None = None) -> str:
     return out
 
 
-def _scope_key(scope: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(scope.items()))
-
-
 # -- Schema ------------------------------------------------------------------
 
 # Fields each check kind resolves, by type.  Load-time validation checks each
@@ -180,9 +182,10 @@ CHECK_SCHEMAS: dict[str, dict[str, str]] = {
     "tangent_rank": {"algebra": "algebra", "point": "point"},
 }
 
-# Named reference types and the scenario section their names live in.  A field
-# of one of these types resolves through the Scenario method of the same name.
-_REFERENCE_SECTIONS = {
+# The scenario tables, keyed by the Scenario method that resolves one entry.
+# A check field whose type is one of these keys names an entry of that table.
+# Load resolves the tables in this order.
+_TABLES = {
     "ideal": "ideals",
     "section": "sections",
     "polynomial": "polynomials",
@@ -190,9 +193,15 @@ _REFERENCE_SECTIONS = {
     "character": "characters",
     "chart": "charts",
     "point": "points",
+    "matrix": "matrices",
 }
 
 _CHECK_META = {"id", "kind", "provenance", "anchor", "expect", "foreach", "note"}
+
+
+def _label(kind: str, name: str) -> str:
+    """How messages name a table entry: ``ideal 'I1l'``, ``subalgebra 'h1'``."""
+    return f"{'subalgebra' if kind == 'algebra' else kind} {name!r}"
 
 
 @dataclass(frozen=True)
@@ -221,17 +230,8 @@ class CheckSpec:
         return out
 
 
-@dataclass(frozen=True)
-class Chart:
-    """Affine orbit chart: equations cut the closure, inequations stay nonzero."""
-
-    equations: tuple[Poly, ...]
-    inequations: tuple[Poly, ...]
-    expected_dimension: int | None
-
-
 class Scenario:
-    """A resolved scenario with caching of ideals, sections, and algebras."""
+    """A scenario whose table entries are resolved, and cached, at load."""
 
     def __init__(self, raw: Mapping[str, Any], source: str = "<memory>"):
         self.raw = raw
@@ -242,12 +242,17 @@ class Scenario:
         support = raw.get("delta_module", [])
         self.delta_module = DeltaModule(self.ambient, frozenset(support))
         self.checks: list[CheckSpec] = [self._check_spec(c) for c in raw.get("checks", [])]
-        self._ideals: dict[tuple, LeftIdeal] = {}
-        self._sections: dict[tuple, DeltaSection] = {}
-        self._polynomials: dict[tuple, Poly] = {}
-        self._algebras: dict[str, LieSubalgebra] = {}
-        self._characters: dict[tuple, Character] = {}
+        # Shape-checked entries with the scope variables they use, by (kind,
+        # name); resolved objects by (kind, name, binding of those variables).
+        self._entries: dict[tuple[str, str], tuple[Any, frozenset[str]]] = {}
+        self._cache: dict[tuple, Any] = {}
         self._validate_references()
+        # Validating an entry is resolving it, under the parameter values the
+        # checks bind; what load builds stays cached for the run.
+        for kind, table in _TABLES.items():
+            for name in raw.get(table, {}):
+                for scope in self._sample_scopes(self._entry(kind, name)[1]):
+                    getattr(self, kind)(name, scope)
 
     # -- construction and validation --
 
@@ -266,7 +271,7 @@ class Scenario:
             isinstance(i, int) and 1 <= i <= ambient for i in support
         ):
             raise ScenarioError(f"{name}: delta_module must list indices in 1..{ambient}")
-        for table in (*_REFERENCE_SECTIONS.values(), "matrices"):
+        for table in _TABLES.values():
             if not isinstance(raw.get(table, {}), dict):
                 raise ScenarioError(f"{name}: {table} must be an object of named entries")
 
@@ -294,9 +299,12 @@ class Scenario:
             )
         foreach: dict[str, tuple[int, ...]] = {}
         for key, values in foreach_raw.items():
-            if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+            # An empty list would expand the check into no records at all.
+            if not isinstance(values, list) or not values or not all(
+                isinstance(v, int) for v in values
+            ):
                 raise ScenarioError(
-                    f"{self.name}: check {cid!r} foreach {key!r} must list integers"
+                    f"{self.name}: check {cid!r} foreach {key!r} must list at least one integer"
                 )
             for value in values:
                 self._checked(f"check {cid!r} foreach", {key: value})
@@ -325,17 +333,16 @@ class Scenario:
                         f"{self.name}: check {check.id!r} is missing field {field!r}"
                     )
                 self._validate_ref(check, field, check.params[field], ftype)
-        self._validate_expressions()
 
     def _validate_ref(self, check: CheckSpec, field: str, value: Any, ftype: str) -> None:
         def fail(message: str) -> ScenarioError:
             return ScenarioError(f"{self.name}: check {check.id!r}, field {field!r}: {message}")
 
-        if ftype in _REFERENCE_SECTIONS:
+        if ftype in _TABLES:
             name = value["name"] if isinstance(value, dict) else value
             if not isinstance(name, str):
                 raise fail("reference must be a name or an object with a name")
-            if name not in self.raw.get(_REFERENCE_SECTIONS[ftype], {}):
+            if name not in self.raw.get(_TABLES[ftype], {}):
                 raise fail(f"unresolved name: no {ftype} called {name!r}")
         elif ftype == "ideal_family":
             self._validate_ref(check, field, value, "ideal")
@@ -364,105 +371,97 @@ class Scenario:
                     raise fail("each term needs a factors list")
 
     def _sample_scopes(self, names: frozenset[str]) -> list[dict[str, int]]:
-        """Scopes used for load-time parse validation of a template."""
-        if not names:
-            return [{}]
-        pools: dict[str, list[int]] = {}
-        for name in sorted(names):
-            values = {v for check in self.checks for v in check.foreach.get(name, ())}
-            pools[name] = sorted(values) or [0, 1]
-        keys = sorted(pools)
-        return [dict(zip(keys, combo)) for combo in product(*(pools[k] for k in keys))]
+        """Scopes under which load resolves an entry that uses ``names``: each
+        name takes the values the checks' ``foreach`` give it, or 0 and 1."""
+        keys = sorted(names)
+        pools = [
+            sorted({v for check in self.checks for v in check.foreach.get(k, ())}) or [0, 1]
+            for k in keys
+        ]
+        return [dict(zip(keys, combo)) for combo in product(*pools)]
 
-    def _validate_expressions(self) -> None:
-        for name, spec in self.raw.get("ideals", {}).items():
-            generators = spec.get("generators") if isinstance(spec, dict) else None
-            if not isinstance(generators, list) or not generators:
-                raise ScenarioError(f"{self.name}: ideal {name!r} needs a generator list")
-            for text in generators:
-                self._validate_template(f"ideal {name!r}", text, parse_expression)
-        for name, text in self.raw.get("sections", {}).items():
-            self._validate_template(f"section {name!r}", text, parse_expression)
-        for name, text in self.raw.get("polynomials", {}).items():
-            self._validate_template(f"polynomial {name!r}", text, parse_polynomial)
-        for name, spec in self.raw.get("charts", {}).items():
-            if not isinstance(spec, dict) or not all(
-                isinstance(spec.get(field, []), list) for field in ("equations", "inequations")
-            ):
-                raise ScenarioError(
-                    f"{self.name}: chart {name!r} must be an object with equation lists"
-                )
-            for text in spec.get("equations", []) + spec.get("inequations", []):
-                self._validate_template(f"chart {name!r}", text, parse_polynomial)
-        for name, coords in self.raw.get("points", {}).items():
-            if not isinstance(coords, list) or len(coords) != self.ambient:
-                raise ScenarioError(
-                    f"{self.name}: point {name!r} needs {self.ambient} coordinates"
-                )
-        self._validate_subalgebras()
-        for name, spec in self.raw.get("characters", {}).items():
-            if not isinstance(spec, dict):
-                raise ScenarioError(f"{self.name}: character {name!r} must be an object")
-            algebra_name = spec.get("algebra")
-            if not isinstance(algebra_name, str) or algebra_name not in self.raw.get(
-                "subalgebras", {}
-            ):
-                raise ScenarioError(
-                    f"{self.name}: character {name!r} references unknown subalgebra"
-                )
-            values = spec.get("values", [])
-            if not isinstance(values, list) or len(values) != self.algebra(algebra_name).dimension:
-                raise ScenarioError(
-                    f"{self.name}: character {name!r} needs one value per basis element"
-                )
+    def _entry(self, kind: str, name: str) -> tuple[Any, frozenset[str]]:
+        """A table entry, shape-checked, and the scope variables it uses.
 
-    def _validate_subalgebras(self) -> None:
-        """Each subalgebra has a basis of matrix expressions, or is the
-        conjugate of another by a named matrix, with no cycle of conjugates."""
-        table = self.raw.get("subalgebras", {})
-        for name, spec in table.items():
-            label = f"{self.name}: subalgebra {name!r}"
+        Both are worked out once, on the entry's first lookup, which load
+        makes for every entry.  Operator and polynomial texts carry ``{...}``
+        templates; character values and point coordinates are integer
+        expressions.
+        """
+        if (kind, name) in self._entries:
+            return self._entries[kind, name]
+        table = self.raw.get(_TABLES[kind], {})
+        if name not in table:
+            raise ScenarioError(f"{self.name}: no {_TABLES[kind]} entry called {name!r}")
+        spec = table[name]
+        label = _label(kind, name)
+        where = f"{self.name}: {label}"
+        texts, scan = [], template_vars
+        if kind in ("section", "polynomial"):
+            texts = [spec]
+        elif kind == "ideal":
+            texts = spec.get("generators") if isinstance(spec, dict) else None
+            if not isinstance(texts, list) or not texts:
+                raise ScenarioError(f"{where} needs a generator list")
+        elif kind == "chart":
+            texts = spec.get("equations", []) if isinstance(spec, dict) else None
+            if not isinstance(texts, list):
+                raise ScenarioError(f"{where} must be an object with equation lists")
+        elif kind == "character":
             if not isinstance(spec, dict):
-                raise ScenarioError(f"{label} must be an object")
-            if "conjugate_of" in spec:
-                if not isinstance(spec["conjugate_of"], str) or spec["conjugate_of"] not in table:
-                    raise ScenarioError(f"{label} is conjugate_of an unknown subalgebra")
-                if not isinstance(spec.get("by"), str):
-                    raise ScenarioError(f"{label} needs a 'by' matrix for conjugate_of")
-            elif not isinstance(spec.get("basis"), list) or not all(
-                isinstance(text, str) for text in spec["basis"]
-            ):
-                raise ScenarioError(f"{label} needs a basis list or conjugate_of")
-        for name in table:
+                raise ScenarioError(f"{where} must be an object")
+            algebra = spec.get("algebra")
+            if not isinstance(algebra, str) or algebra not in self.raw.get("subalgebras", {}):
+                raise ScenarioError(f"{where} references unknown subalgebra")
+            values = spec.get("values")
+            if not isinstance(values, list) or len(values) != self.algebra(algebra).dimension:
+                raise ScenarioError(f"{where} needs one value per basis element")
+            texts, scan = [str(v) for v in values], _int_vars
+        elif kind == "point":
+            if not isinstance(spec, list) or len(spec) != self.ambient:
+                raise ScenarioError(f"{where} needs {self.ambient} coordinates")
+            texts, scan = [str(c) for c in spec], _int_vars
+        elif kind == "algebra":
+            # A basis of matrix expressions, or the conjugate of another
+            # subalgebra by a named matrix, with no cycle of conjugates.
+            if not isinstance(spec, dict):
+                raise ScenarioError(f"{where} must be an object")
+            if "conjugate_of" not in spec:
+                if not isinstance(spec.get("basis"), list) or not all(
+                    isinstance(text, str) for text in spec["basis"]
+                ):
+                    raise ScenarioError(f"{where} needs a basis list or conjugate_of")
+            elif not isinstance(spec["conjugate_of"], str) or spec["conjugate_of"] not in table:
+                raise ScenarioError(f"{where} is conjugate_of an unknown subalgebra")
+            elif not isinstance(spec.get("by"), str):
+                raise ScenarioError(f"{where} needs a 'by' matrix for conjugate_of")
             chain = [name]
-            while "conjugate_of" in table[chain[-1]]:
+            while isinstance(table.get(chain[-1]), dict) and isinstance(
+                table[chain[-1]].get("conjugate_of"), str
+            ):
                 chain.append(table[chain[-1]]["conjugate_of"])
                 if chain[-1] in chain[:-1]:
-                    raise ScenarioError(
-                        f"{self.name}: subalgebra {name!r} has a conjugate_of cycle "
-                        + " -> ".join(chain)
-                    )
-            try:
-                self.algebra(name)
-            except ScenarioError:
-                raise
-            except ValueError as exc:
-                raise ScenarioError(f"{self.name}: subalgebra {name!r}: {exc}") from exc
+                    raise ScenarioError(f"{where} has a conjugate_of cycle " + " -> ".join(chain))
+        else:
+            size = self.ambient
+            if not isinstance(spec, list) or len(spec) != size or not all(
+                isinstance(row, list) and len(row) == size and all(isinstance(e, int) for e in row)
+                for row in spec
+            ):
+                raise ScenarioError(f"{where} must be a {size}x{size} list of integer rows")
+        if not all(isinstance(text, str) for text in texts):
+            raise ScenarioError(f"{where}: expression must be a string")
+        with self._naming(label, {}):
+            used = frozenset().union(*map(scan, texts))
+        self._entries[kind, name] = spec, used
+        return spec, used
 
-    def _validate_template(self, label: str, text: Any, parse) -> None:
-        if not isinstance(text, str):
-            raise ScenarioError(f"{self.name}: {label}: expression must be a string")
-        for scope in self._sample_scopes(template_vars(text)):
-            self._parse(label, text, scope, parse)
-
-    def _parse(self, label: str, text: str, scope: Mapping[str, int], parse):
-        """Instantiate a template under ``scope`` and parse it.
-
-        Failures name the scenario, the object and the binding, for example
-        ``paper-n2: ideal 'I1l' (l=-1): ...``.
-        """
+    @contextmanager
+    def _naming(self, label: str, scope: Mapping[str, int]) -> Iterator[None]:
+        """Re-raise a ValueError as a ScenarioError naming the scenario, the
+        object and the binding: ``paper-n2: ideal 'I1l' (l=-1): ...``."""
         try:
-            return parse(substitute(text, scope), self.ambient)
+            yield
         except ValueError as exc:
             raise ScenarioError(f"{self._where(label, scope)}: {exc}") from exc
 
@@ -491,7 +490,7 @@ class Scenario:
     def _resolve(self, ftype: str, value: Any, scope: Mapping[str, int]) -> Any:
         # Resolvers are looked up on the instance on every call, so a wrapper
         # installed on the class (bench/tracer.py) sees each resolution.
-        if ftype in _REFERENCE_SECTIONS or ftype == "expression":
+        if ftype in _TABLES or ftype == "expression":
             return getattr(self, ftype)(value, scope)
         if ftype == "section_list":
             return [self.section(ref, scope) for ref in value]
@@ -513,18 +512,12 @@ class Scenario:
             total = total + product
         return total
 
-    def _named(self, section: str, name: str) -> Any:
-        table = self.raw.get(section, {})
-        if name not in table:
-            raise ScenarioError(f"{self.name}: no {section} entry called {name!r}")
-        return table[name]
-
     def _split_ref(
         self, kind: str, ref: Any, scope: Mapping[str, int] | None
     ) -> tuple[str, dict[str, int], str]:
         """A reference is a name, or an object binding extra scope variables.
 
-        Returns the name, the checked binding and the label ``kind 'name'``.
+        Returns the name, the checked binding and the entry's label.
         """
         scope = scope or {}
         if isinstance(ref, str):
@@ -537,102 +530,104 @@ class Scenario:
                 bound[key] = value if isinstance(value, int) else eval_int_expr(str(value), scope)
         else:
             raise ScenarioError(f"{self.name}: malformed reference {ref!r}")
-        label = f"{kind} {name!r}"
+        label = _label(kind, name)
         return name, self._checked(label, bound), label
 
-    def _scoped(
-        self, label: str, texts: Sequence[str], scope: Mapping[str, int], scan=template_vars
-    ) -> tuple[tuple, dict]:
-        """Restrict ``scope`` to the variables ``texts`` use; all must be bound."""
-        used: set[str] = set().union(*map(scan, texts))
-        missing = sorted(used - set(scope))
+    def _lookup(
+        self, kind: str, ref: Any, scope: Mapping[str, int] | None
+    ) -> tuple[tuple, str, Any, dict[str, int]]:
+        """Cache key, label and entry of a reference, with the scope restricted
+        to the variables the entry uses; each of them must be bound."""
+        name, bound, label = self._split_ref(kind, ref, scope)
+        spec, used = self._entry(kind, name)
+        missing = sorted(used - set(bound))
         if missing:
             raise ScenarioError(
                 f"{self.name}: {label} needs parameter(s) {missing} (pass e.g. --l)"
             )
-        effective = {k: scope[k] for k in used}
-        return _scope_key(effective), effective
+        effective = {k: bound[k] for k in sorted(used)}
+        return (kind, name, tuple(effective.items())), label, spec, effective
 
     def ideal(self, ref: Any, scope: Mapping[str, int] | None = None) -> LeftIdeal:
-        name, bound, label = self._split_ref("ideal", ref, scope)
-        spec = self._named("ideals", name)
-        generators = spec["generators"]
-        key_scope, effective = self._scoped(label, generators, bound)
-        key = (name, key_scope)
-        if key not in self._ideals:
-            elements = [
-                self._parse(label, text, effective, parse_expression) for text in generators
-            ]
-            self._ideals[key] = LeftIdeal(elements)
-        return self._ideals[key]
+        key, label, spec, scope = self._lookup("ideal", ref, scope)
+        if key not in self._cache:
+            generators = spec["generators"]
+            with self._naming(label, scope):
+                self._cache[key] = LeftIdeal(
+                    [parse_expression(substitute(t, scope), self.ambient) for t in generators]
+                )
+        return self._cache[key]
 
     def section(self, ref: Any, scope: Mapping[str, int] | None = None) -> DeltaSection:
-        name, bound, label = self._split_ref("section", ref, scope)
-        text = self._named("sections", name)
-        key_scope, effective = self._scoped(label, [text], bound)
-        key = (name, key_scope)
-        if key not in self._sections:
-            operator = self._parse(label, text, effective, parse_expression)
-            self._sections[key] = section_from_operator(self.delta_module, operator)
-        return self._sections[key]
+        key, label, text, scope = self._lookup("section", ref, scope)
+        if key not in self._cache:
+            with self._naming(label, scope):
+                operator = parse_expression(substitute(text, scope), self.ambient)
+                self._cache[key] = section_from_operator(self.delta_module, operator)
+        return self._cache[key]
 
     def polynomial(self, ref: Any, scope: Mapping[str, int] | None = None) -> Poly:
-        name, bound, label = self._split_ref("polynomial", ref, scope)
-        text = self._named("polynomials", name)
-        key_scope, effective = self._scoped(label, [text], bound)
-        key = (name, key_scope)
-        if key not in self._polynomials:
-            self._polynomials[key] = self._parse(label, text, effective, parse_polynomial)
-        return self._polynomials[key]
+        key, label, text, scope = self._lookup("polynomial", ref, scope)
+        if key not in self._cache:
+            with self._naming(label, scope):
+                self._cache[key] = parse_polynomial(substitute(text, scope), self.ambient)
+        return self._cache[key]
 
-    def matrix(self, name: str) -> list[list[Fraction]]:
-        rows = self._named("matrices", name)
-        return [[Fraction(e) for e in row] for row in rows]
+    def matrix(
+        self, ref: Any, scope: Mapping[str, int] | None = None
+    ) -> tuple[tuple[Fraction, ...], ...]:
+        key, _, rows, _ = self._lookup("matrix", ref, scope)
+        if key not in self._cache:
+            self._cache[key] = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        return self._cache[key]
 
     def algebra(self, ref: Any, scope: Mapping[str, int] | None = None) -> LieSubalgebra:
         """Subalgebra bases take no parameters: the reference's binding is
         checked like any other, then only its name counts."""
-        name = self._split_ref("algebra", ref, scope)[0]
-        if name not in self._algebras:
-            spec = self._named("subalgebras", name)
+        key, label, spec, _ = self._lookup("algebra", ref, scope)
+        if key not in self._cache:
             if "conjugate_of" in spec:
-                base = self.algebra(spec["conjugate_of"])
-                conjugator = self.matrix(spec["by"])
-                self._algebras[name] = conjugate_subalgebra(conjugator, base)
+                base, conjugator = self.algebra(spec["conjugate_of"]), self.matrix(spec["by"])
+                with self._naming(label, {}):
+                    self._cache[key] = conjugate_subalgebra(conjugator, base)
             else:
-                basis = [parse_matrix_expr(text, self.ambient) for text in spec["basis"]]
-                self._algebras[name] = LieSubalgebra(self.ambient, basis)
-        return self._algebras[name]
+                with self._naming(label, {}):
+                    basis = [parse_matrix_expr(text, self.ambient) for text in spec["basis"]]
+                    self._cache[key] = LieSubalgebra(self.ambient, basis)
+        return self._cache[key]
 
     def character(self, ref: Any, scope: Mapping[str, int] | None = None) -> Character:
-        name, bound, label = self._split_ref("character", ref, scope)
-        spec = self._named("characters", name)
-        texts = [str(v) for v in spec["values"]]
-        key_scope, effective = self._scoped(label, texts, bound, _int_vars)
-        key = (name, key_scope)
-        if key not in self._characters:
+        key, label, spec, scope = self._lookup("character", ref, scope)
+        if key not in self._cache:
             algebra = self.algebra(spec["algebra"])
-            values = [eval_int_expr(text, effective) for text in texts]
-            self._characters[key] = character_from_values(algebra, values)
-        return self._characters[key]
+            with self._naming(label, scope):
+                values = [eval_int_expr(str(v), scope) for v in spec["values"]]
+                self._cache[key] = character_from_values(algebra, values)
+        return self._cache[key]
 
-    def chart(self, ref: Any, scope: Mapping[str, int] | None = None) -> Chart:
-        name, bound, label = self._split_ref("chart", ref, scope)
-        spec = self._named("charts", name)
-        equations, inequations = (
-            tuple(self._parse(label, t, bound, parse_polynomial) for t in spec.get(field, []))
-            for field in ("equations", "inequations")
-        )
-        return Chart(equations, inequations, spec.get("expected_dimension"))
+    def chart(self, ref: Any, scope: Mapping[str, int] | None = None) -> tuple[Poly, ...]:
+        """The chart's equations; other keys of the entry are ignored."""
+        key, label, spec, scope = self._lookup("chart", ref, scope)
+        if key not in self._cache:
+            with self._naming(label, scope):
+                self._cache[key] = tuple(
+                    parse_polynomial(substitute(t, scope), self.ambient)
+                    for t in spec.get("equations", [])
+                )
+        return self._cache[key]
 
-    def point(self, ref: Any, scope: Mapping[str, int] | None = None) -> list[Fraction]:
-        name, bound, label = self._split_ref("point", ref, scope)
-        coords = self._named("points", name)
-        return [Fraction(eval_int_expr(str(c), bound)) for c in coords]
+    def point(self, ref: Any, scope: Mapping[str, int] | None = None) -> tuple[Fraction, ...]:
+        key, label, coords, scope = self._lookup("point", ref, scope)
+        if key not in self._cache:
+            with self._naming(label, scope):
+                self._cache[key] = tuple(Fraction(eval_int_expr(str(c), scope)) for c in coords)
+        return self._cache[key]
 
     def expression(self, text: str, scope: Mapping[str, int] | None = None):
         label = f"expression {text!r}"
-        return self._parse(label, text, self._checked(label, scope or {}), parse_expression)
+        scope = self._checked(label, scope or {})
+        with self._naming(label, scope):
+            return parse_expression(substitute(text, scope), self.ambient)
 
 
 def load_scenario(ref: str | Path) -> Scenario:

@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from weylkit import (
     DeltaSection,
@@ -30,6 +30,10 @@ from weylkit.charvar import graded_ideal
 from weylkit.weyl import WeylElement
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# The same examples without the shrink phase, for properties whose failing
+# examples are slow to shrink: a broken partial_fourier fails in seconds
+# instead of minutes.
+UNSHRUNK = settings(PROPERTY, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 # (scenario, ideal, l) triples whose reduced bases the properties divide by.
 PAPER_IDEALS = [
@@ -139,7 +143,7 @@ def paper_n2_sections(draw):
     return DeltaSection(module, Poly(m, terms))
 
 
-@PROPERTY
+@UNSHRUNK
 @given(paper_n2_sections(), elements(WeylElement, 4, max_terms=3, max_exp=2))
 def test_fourier_intertwines_the_delta_action(section, op):
     transformed = partial_fourier(op, section.module.support)
@@ -154,7 +158,7 @@ def operators_and_index_sets(draw):
     return draw(elements(WeylElement, m)), indices
 
 
-@PROPERTY
+@UNSHRUNK
 @given(operators_and_index_sets())
 def test_fourier_has_order_four_and_squares_to_the_antipode(case):
     p, indices = case

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -176,6 +177,18 @@ MALFORMED = {
         "chart 'c' must be an object with equation lists",
     ),
     "short-point": ({"points": {"p": [1]}}, "point 'p' needs 2 coordinates"),
+    "matrix-string": ({"matrices": {"m": "x"}}, "matrix 'm' must be a 2x2 list of integer rows"),
+    "matrix-wrong-size": (
+        {"matrices": {"n": [[1, 2, 3]]}},
+        "matrix 'n' must be a 2x2 list of integer rows",
+    ),
+    "foreach-empty": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "checks": [check(element="z2", foreach={"l": []})],
+        },
+        "check 'c1' foreach 'l' must list at least one integer",
+    ),
 }
 
 
@@ -201,15 +214,41 @@ def test_malformed_scenarios_fail_at_load_time_with_a_named_error(tmp_path, case
     assert "Traceback" not in done.stdout + done.stderr
 
 
-def test_legacy_sweep_key_is_ignored(tmp_path, n2_report):
-    # Scenario files written before "sweep" was dropped still carry the key.
+def test_legacy_keys_are_ignored(tmp_path, n2_report):
+    # Scenario files written before "sweep" and the chart fields no check read
+    # were dropped still carry those keys.
     raw = json.loads(resources.files("weylkit").joinpath("data", "paper-n2.json").read_text())
     raw["sweep"] = {"l": [0, 1, 2, 3]}
+    raw["charts"]["O12c"].update(inequations=["z3", "z4"], expected_dimension=2)
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     report = run_scenario(load_scenario(str(path)))
     verdicts = [(c["id"], c["verdict"]) for c in report["checks"]]
     assert verdicts == [(c["id"], c["verdict"]) for c in n2_report["checks"]]
+
+
+@pytest.mark.parametrize("name, expressions", [("paper-n2", 8), ("paper-n3", 18)])
+def test_a_run_parses_only_expression_fields(monkeypatch, name, expressions):
+    # Load resolves every table entry; the checks read those results, so a
+    # run parses nothing but its expression fields, once per field read.
+    scenario = load_scenario(name)
+    counts = Counter()
+
+    def counting(key, function):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    for module, attribute in (
+        (weylkit.scenario, "parse_expression"),
+        (weylkit.scenario, "parse_polynomial"),
+        (Scenario, "expression"),
+    ):
+        monkeypatch.setattr(module, attribute, counting(attribute, getattr(module, attribute)))
+    assert run_scenario(scenario)["summary"]["all_pass"]
+    assert counts == {"expression": expressions, "parse_expression": expressions}
 
 
 def test_bad_template_reported_at_load_time():
