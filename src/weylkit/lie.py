@@ -19,6 +19,8 @@ Lie Algebras: Theory and Algorithms, 2000, ch. 1).
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,9 +28,10 @@ from typing import Sequence
 from .base import Scalar, as_fraction
 from .deltamod import act_on_polynomial
 from .linalg import Matrix, Vector, invert, mat_mul, matrix, rank
-from .parser import ParseError
+from .monomial import Monomial
+from .parser import ParseError, read_arithmetic
 from .poly import Poly
-from .weyl import WeylElement, d, z
+from .weyl import WeylElement
 
 # Nonzero entries of a matrix, keyed by 0-based (row, column).
 Sparse = dict[tuple[int, int], Fraction]
@@ -51,49 +54,30 @@ def _sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
 
 
 def parse_matrix_expr(text: str, size: int) -> Matrix:
-    """Sum of elementary matrices: sign? (uint '*')? E<i><j>, single-digit indices."""
+    """Sum of terms sign? (uint '*')? E<i><j>, single-digit indices, that
+    parentheses may group: each E<i><j> counts times the factors above it."""
     out = [[Fraction(0)] * size for _ in range(size)]
-    pos = 0
-    n = len(text)
-    first = True
-    while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            if first:
-                raise ParseError("empty matrix expression", pos)
-            return out
-        sign = 1
-        if text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-        elif not first:
-            raise ParseError("expected + or - between terms", pos)
-        coeff = 1
-        if pos < n and text[pos].isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            coeff = int(text[start:pos])
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos < n and text[pos] == "*":
-                pos += 1
-                while pos < n and text[pos].isspace():
-                    pos += 1
-        if pos >= n or text[pos] != "E":
-            raise ParseError("expected an elementary matrix E<i><j>", pos)
-        pos += 1
-        if pos + 1 >= n or not (text[pos].isdigit() and text[pos + 1].isdigit()):
-            raise ParseError("expected two index digits after E", pos)
-        i, j = int(text[pos]), int(text[pos + 1])
-        pos += 2
-        if not (1 <= i <= size and 1 <= j <= size):
-            raise ParseError(f"entry ({i}, {j}) out of range for size {size}", pos - 2)
-        out[i - 1][j - 1] += sign * coeff
-        first = False
+    stack = [(read_arithmetic(text, ParseError)[-1], 1)]
+    while stack:
+        node, factor = stack.pop()
+        if isinstance(node, ast.UnaryOp):
+            stack.append((node.operand, -factor if isinstance(node.op, ast.USub) else factor))
+        elif isinstance(node, ast.BinOp) and not isinstance(node.op, ast.Mult):
+            sign = -1 if isinstance(node.op, ast.Sub) else 1
+            stack += (node.left, factor), (node.right, sign * factor)
+        elif isinstance(node, ast.BinOp):  # a product; Python reads -2*E12 as (-2)*E12
+            try:
+                stack.append((node.right, factor * ast.literal_eval(node.left)))
+            except ValueError:
+                raise ParseError(f"{text!r}: a product needs an integer on its left") from None
+        elif isinstance(node, ast.Name):
+            match = re.fullmatch(r"E([0-9])([0-9])", node.id)
+            if not (match and all(1 <= int(k) <= size for k in match.groups())):
+                raise ParseError(f"{node.id!r} in {text!r} is not a {size}x{size} E<i><j>")
+            out[int(match[1]) - 1][int(match[2]) - 1] += factor
+        else:
+            raise ParseError(f"{text!r} is not a sum of terms (uint*)? E<i><j>")
+    return out
 
 
 class LieSubalgebra:
@@ -237,12 +221,9 @@ def rho(mat: Matrix, ambient: int | None = None) -> WeylElement:
         ambient = m
     if ambient != m or any(len(row) != m for row in a):
         raise ValueError("matrix size must match the ambient variable count")
-    out = WeylElement.zero(m)
-    for i in range(m):
-        for j in range(m):
-            if a[i][j]:
-                out = out - (z(j + 1, m) * d(i + 1, m)).scaled(a[i][j])
-    return out
+    unit = [tuple(int(k == i) for k in range(m)) for i in range(m)]
+    entries = ((i, j, v) for i, row in enumerate(a) for j, v in enumerate(row) if v)
+    return WeylElement(m, {Monomial(unit[j], unit[i]): -v for i, j, v in entries})
 
 
 def twisted_generators(algebra: LieSubalgebra, character: Character) -> list[WeylElement]:

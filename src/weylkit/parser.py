@@ -14,6 +14,7 @@ which is the only order that matters once d and z stop commuting.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,14 +23,53 @@ from .poly import Poly, poly_z, poly_zeta
 from .weyl import WeylElement, d, z
 
 MAX_EXPONENT = 10**6
+MAX_NESTING = 200  # parentheses; Python's parser puts the same bound on read_arithmetic
+# Longest text read_arithmetic takes: Python 3.10 overflows its C stack on a 120,000-term sum.
+MAX_ARITHMETIC_LENGTH = 1000
 
 
 class ParseError(ValueError):
-    """Syntax or range error, carrying the 0-based offending position."""
+    """Syntax or range error, naming the 0-based offending position when known."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (position {position})")
-        self.position = position
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (position {position})")
+
+
+def read_arithmetic(text: str, error: type[ValueError]) -> list[ast.expr]:
+    """Integer arithmetic read by Python's parser, as its nodes in postorder.
+
+    Allowed: decimal int literals, names, unary and binary + and -, binary *,
+    and max(a, b) (its arguments are listed, not its name).  Anything else,
+    and texts too long or too deep, raise ``error``.  The walk keeps its own
+    stack, so a long sum costs no recursion.
+    """
+    if len(text) > MAX_ARITHMETIC_LENGTH:
+        raise error(f"cannot read {len(text)} characters: the limit is {MAX_ARITHMETIC_LENGTH}")
+    source = " ".join(text.split())  # whitespace of any kind only separates tokens
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except (SyntaxError, ValueError) as exc:  # ValueError: a NUL byte, before 3.11
+        reason = str(getattr(exc, "msg", exc)).split(";")[0]
+        raise error(f"cannot read {text!r}: {reason}") from None
+    except (RecursionError, MemoryError):
+        raise error(f"cannot read {text!r}: too long or too deeply nested") from None
+    nodes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+            stack += node.left, node.right
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            stack.append(node.operand)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "max":
+            if len(node.args) != 2:
+                raise error(f"cannot read {text!r}: max takes two arguments")
+            stack += node.args + node.keywords  # a keyword argument is refused below
+        elif not isinstance(node, ast.Name):
+            segment = ast.get_source_segment(source, node)
+            if not (segment.isdigit() and segment == str(node.value)):  # a decimal int literal
+                raise error(f"cannot read {text!r}: unexpected {segment!r}")
+    return nodes[::-1]
 
 
 @dataclass(frozen=True)
@@ -84,7 +124,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive-descent parser producing elements of a chosen ring."""
+    """Recursive descent into a chosen ring; ``^`` and signs here are not Python's."""
 
     def __init__(self, tokens: Sequence[_Token], ambient: int, end: int, symbols: bool):
         self.tokens = tokens
@@ -93,6 +133,7 @@ class _Parser:
         self.end = end  # position just past the input, for EOF errors
         self.symbols = symbols
         self.element_type = Poly if symbols else WeylElement
+        self.depth = 0  # open parentheses, bounded by MAX_NESTING
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -168,8 +209,12 @@ class _Parser:
             inner = self.expect("num")
             return self.element_type.constant(-self.rational(inner), self.ambient)
         if tok.kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.position)
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {tok.kind!r}", tok.position)
 

@@ -345,7 +345,3 @@ def run_scenario(scenario: Scenario) -> dict[str, Any]:
             "per_check": per_check,
         },
     }
-
-
-def all_pass(report: Mapping[str, Any]) -> bool:
-    return bool(report["summary"]["all_pass"])

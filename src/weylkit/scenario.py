@@ -15,7 +15,9 @@ stays cached, so the checks read it at run time without parsing again.
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from .lie import (
     parse_matrix_expr,
     rho,
 )
-from .parser import parse_expression, parse_polynomial
+from .parser import parse_expression, parse_polynomial, read_arithmetic
 from .poly import Poly
 from .weyl import WeylElement
 
@@ -50,88 +52,27 @@ class ScenarioError(ValueError):
 
 # -- Integer template expressions --------------------------------------------
 
-_INT_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*(),]))")
-
-
-def _int_tokens(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        match = _INT_TOKEN.match(text, pos)
-        if match is None or match.end() == pos:
-            raise ScenarioError(f"bad integer expression {text!r} at position {pos}")
-        out.append(match.group(1) or match.group(2) or match.group(3))
-        pos = match.end()
-    return out
+_INT_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
 
 def eval_int_expr(text: str, scope: Mapping[str, int] | None = None) -> int:
     """Evaluate an integer expression over + - * max(,) and scope variables."""
-    tokens = _int_tokens(text)
     scope = scope or {}
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ScenarioError(f"unexpected end of integer expression {text!r}")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ScenarioError(f"expected {expected!r} in {text!r}, found {tok!r}")
-        pos += 1
-        return tok
-
-    def expr() -> int:
-        value = term()
-        while peek() in {"+", "-"}:
-            if take() == "+":
-                value += term()
-            else:
-                value -= term()
-        return value
-
-    def term() -> int:
-        value = unary()
-        while peek() == "*":
-            take()
-            value *= unary()
-        return value
-
-    def unary() -> int:
-        if peek() == "-":
-            take()
-            return -unary()
-        if peek() == "+":
-            take()
-            return unary()
-        return atom()
-
-    def atom() -> int:
-        tok = take()
-        if tok.isdigit():
-            return int(tok)
-        if tok == "(":
-            value = expr()
-            take(")")
-            return value
-        if tok == "max":
-            take("(")
-            first = expr()
-            take(",")
-            second = expr()
-            take(")")
-            return max(first, second)
-        if tok in scope:
-            return int(scope[tok])
-        raise ScenarioError(f"unknown variable {tok!r} in integer expression {text!r}")
-
-    value = expr()
-    if pos != len(tokens):
-        raise ScenarioError(f"trailing input in integer expression {text!r}")
-    return value
+    values: list[int] = []
+    for node in read_arithmetic(text, ScenarioError):
+        if isinstance(node, ast.Constant):
+            values.append(node.value)
+        elif isinstance(node, ast.Name):
+            if node.id not in scope:
+                raise ScenarioError(f"unknown variable {node.id!r} in integer expression {text!r}")
+            values.append(int(scope[node.id]))
+        elif isinstance(node, ast.UnaryOp):
+            values[-1] *= -1 if isinstance(node.op, ast.USub) else 1
+        else:
+            right = values.pop()
+            combine = max if isinstance(node, ast.Call) else _INT_OPS[type(node.op)]
+            values[-1] = combine(values[-1], right)
+    return values[0]
 
 
 _TEMPLATE = re.compile(r"\{([^{}]*)\}")
@@ -139,9 +80,7 @@ _TEMPLATE = re.compile(r"\{([^{}]*)\}")
 
 def _int_vars(text: str) -> set[str]:
     """Scope variables referenced by an integer expression."""
-    return {
-        tok for tok in _int_tokens(text) if tok != "max" and (tok[0].isalpha() or tok[0] == "_")
-    }
+    return {node.id for node in read_arithmetic(text, ScenarioError) if isinstance(node, ast.Name)}
 
 
 def template_vars(text: str) -> frozenset[str]:
@@ -264,11 +203,12 @@ class Scenario:
         if not isinstance(name, str) or not name:
             raise ScenarioError(f"{self.source}: missing scenario name")
         ambient = raw.get("ambient")
-        if not isinstance(ambient, int) or ambient < 1:
+        # JSON true and false are Python bools, which isinstance counts as int.
+        if type(ambient) is not int or ambient < 1:
             raise ScenarioError(f"{name}: ambient must be a positive integer")
         support = raw.get("delta_module", [])
         if not isinstance(support, list) or not all(
-            isinstance(i, int) and 1 <= i <= ambient for i in support
+            type(i) is int and 1 <= i <= ambient for i in support
         ):
             raise ScenarioError(f"{name}: delta_module must list indices in 1..{ambient}")
         for table in _TABLES.values():
@@ -301,7 +241,7 @@ class Scenario:
         for key, values in foreach_raw.items():
             # An empty list would expand the check into no records at all.
             if not isinstance(values, list) or not values or not all(
-                isinstance(v, int) for v in values
+                type(v) is int for v in values
             ):
                 raise ScenarioError(
                     f"{self.name}: check {cid!r} foreach {key!r} must list at least one integer"
@@ -339,11 +279,14 @@ class Scenario:
             return ScenarioError(f"{self.name}: check {check.id!r}, field {field!r}: {message}")
 
         if ftype in _TABLES:
-            name = value["name"] if isinstance(value, dict) else value
+            name = value.get("name") if isinstance(value, dict) else value
             if not isinstance(name, str):
                 raise fail("reference must be a name or an object with a name")
             if name not in self.raw.get(_TABLES[ftype], {}):
                 raise fail(f"unresolved name: no {ftype} called {name!r}")
+            for key, bound in value.items() if isinstance(value, dict) else ():
+                if key != "name" and type(bound) is not int and not isinstance(bound, str):
+                    raise fail(f"binding {key!r} must be an integer or an integer expression")
         elif ftype == "ideal_family":
             self._validate_ref(check, field, value, "ideal")
         elif ftype == "section_list":
@@ -358,7 +301,7 @@ class Scenario:
                 if not isinstance(entry, dict) or "level" not in entry or "element" not in entry:
                     raise fail("each target needs level and element")
         elif ftype == "int":
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise fail("must be an integer")
         elif ftype == "expression":
             if not isinstance(value, str):
@@ -445,7 +388,7 @@ class Scenario:
         else:
             size = self.ambient
             if not isinstance(spec, list) or len(spec) != size or not all(
-                isinstance(row, list) and len(row) == size and all(isinstance(e, int) for e in row)
+                isinstance(row, list) and len(row) == size and all(type(e) is int for e in row)
                 for row in spec
             ):
                 raise ScenarioError(f"{where} must be a {size}x{size} list of integer rows")
@@ -527,7 +470,7 @@ class Scenario:
             for key, value in ref.items():
                 if key == "name":
                     continue
-                bound[key] = value if isinstance(value, int) else eval_int_expr(str(value), scope)
+                bound[key] = value if type(value) is int else eval_int_expr(str(value), scope)
         else:
             raise ScenarioError(f"{self.name}: malformed reference {ref!r}")
         label = _label(kind, name)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 from typing import AbstractSet
@@ -73,33 +72,28 @@ def d(i: int, ambient: int, power: int = 1) -> WeylElement:
 
 
 def partial_fourier(element: WeylElement, indices: AbstractSet[int]) -> WeylElement:
-    """Apply the partial Fourier automorphism on the 1-based ``indices``.
+    """Apply the partial Fourier automorphism on the 1-based ``indices`` S.
 
     On those variables z_i -> d_i and d_i -> -z_i; the others are untouched.
-    Each monomial z^a d^b is read as the ordered product of its generator
-    powers; images are multiplied in that order and renormalized, which is
-    exactly how an algebra automorphism acts on a word.
+    So z^a d^b maps to (-1)^(sum of b_i over S) times the product m1 * m2,
+    where m1 holds a_i as a d exponent on S and as a z exponent off S, and
+    m2 holds b_i as a z exponent on S and as a d exponent off S.
     """
     for i in indices:
         if not 1 <= i <= element.ambient:
             raise ValueError(f"variable index {i} out of range 1..{element.ambient}")
-    m = element.ambient
-    out = WeylElement.zero(m)
+    on = [i + 1 in indices for i in range(element.ambient)]
+    terms = []
     for mono, coeff in element:
-        acc = WeylElement.constant(coeff, m)
-        for i in range(1, m + 1):
-            p = mono.zexp[i - 1]
-            if p:
-                acc = acc * (d(i, m, p) if i in indices else z(i, m, p))
-        for i in range(1, m + 1):
-            p = mono.dexp[i - 1]
-            if p:
-                if i in indices:
-                    acc = acc * z(i, m, p).scaled(Fraction((-1) ** p))
-                else:
-                    acc = acc * d(i, m, p)
-        out = out + acc
-    return out
+        a_off, a_on, b_off, b_on = (
+            tuple(e if s == side else 0 for s, e in zip(on, exps))
+            for exps in (mono.zexp, mono.dexp)
+            for side in (False, True)
+        )
+        sign = -1 if sum(b_on) % 2 else 1
+        products = element._term_product(Monomial(a_off, a_on), Monomial(b_on, b_off))
+        terms.extend((m, sign * coeff * c) for m, c in products)
+    return WeylElement(element.ambient, terms)
 
 
 def bernstein_degree(element: WeylElement) -> int:

@@ -234,16 +234,28 @@ def test_huge_coefficient_is_a_named_error(capsys):
     assert "set_int_max_str_digits" not in err
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*argv):
+    """``python -m weylkit`` in a fresh interpreter, so a traceback would show."""
     env = dict(os.environ)
     src = str(Path(weylkit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "weylkit", "normalize", "d1*z1"],
+    return subprocess.run(
+        [sys.executable, "-m", "weylkit", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_deep_parentheses_are_a_named_error():
+    done = run_module("normalize", "(" * 400 + "z1" + ")" * 400)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: parentheses nested deeper than 200")
+    assert "Traceback" not in done.stdout + done.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module("normalize", "d1*z1")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "z1*d1 + 1"

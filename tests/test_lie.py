@@ -16,6 +16,7 @@ from weylkit import (
     Character,
     LeftIdeal,
     LieSubalgebra,
+    ParseError,
     character_from_values,
     conjugate_subalgebra,
     parse_expression,
@@ -41,16 +42,67 @@ def test_elementary_and_bracket():
     assert _sparse_bracket(e12, e21) == {(0, 0): 1, (1, 1): -1}
 
 
-def test_matrix_expression_grammar():
-    assert mat("E12", 2) == [[0, 1], [0, 0]]
-    assert mat("E11 + E22", 2) == [[1, 0], [0, 1]]
-    assert mat("2*E12 - E21", 2) == [[0, 2], [-1, 0]]
-    with pytest.raises(ValueError):
-        mat("", 2)
-    with pytest.raises(ValueError):
-        mat("E13", 2)
-    with pytest.raises(ValueError):
-        mat("E12 E21", 2)
+# Matrix sums are read by Python's parser held to a whitelist
+# (weylkit.parser.read_arithmetic): (text, size, nonzero entries by 1-based index).
+MATRIX_FORMS = [
+    ("E12", 2, {(1, 2): 1}),
+    ("E11 + E22", 2, {(1, 1): 1, (2, 2): 1}),
+    ("2*E12 - E21", 2, {(1, 2): 2, (2, 1): -1}),
+    ("-2*E12", 2, {(1, 2): -2}),
+    ("E42+E53", 6, {(4, 2): 1, (5, 3): 1}),
+    ("E12 - E12 + E21", 2, {(2, 1): 1}),
+    ("-(E11 - E22)", 2, {(1, 1): -1, (2, 2): 1}),
+    ("2*(E21 + E12) - --E12", 2, {(1, 2): 1, (2, 1): 2}),
+    (" E11 ", 2, {(1, 1): 1}),
+]
+
+
+@pytest.mark.parametrize("text, size, entries", MATRIX_FORMS)
+def test_matrix_reader_accepts(text, size, entries):
+    expected = [[entries.get((i, j), 0) for j in range(1, size + 1)] for i in range(1, size + 1)]
+    assert mat(text, size) == expected
+
+
+MATRIX_REFUSED = [
+    "0x10*E12",
+    "1_0*E12",
+    "007*E12",
+    "00*E12",
+    "True*E12",
+    "1.5*E12",
+    "E12**2",
+    "E12/1",
+    "E12 ^ E21",
+    "max(E11)",
+    "max(E11, E12)",
+    "abs(E11)",
+    "E11.real",
+    "E11 if 1 else E22",
+    "E12*E21",
+    "E12*3",
+    "E123",
+    "E13",
+    "e12",
+    "E11 + 1",
+    "2",
+    "E12 E21",
+    "",
+    "(" * 400 + "E11" + ")" * 400,
+]
+
+
+@pytest.mark.parametrize("text", MATRIX_REFUSED)
+def test_matrix_reader_refuses_with_a_named_error(text):
+    with pytest.raises(ParseError):
+        mat(text, 2)
+
+
+def test_matrix_reader_bounds_the_length_it_reads():
+    # A sum at the length limit reads on every supported Python; a 5,000-term
+    # sum is refused before Python's parser sees it.
+    assert mat("+".join(["E11"] * 250), 2) == [[250, 0], [0, 0]]
+    with pytest.raises(ParseError, match="cannot read 19999 characters"):
+        mat("+".join(["E11"] * 5000), 2)
 
 
 def test_rho_sign_convention():

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_element
 from weylkit import ParseError, parse_expression, parse_polynomial
-from weylkit.parser import MAX_EXPONENT
+from weylkit.parser import MAX_EXPONENT, MAX_NESTING
 from weylkit.poly import poly_z, poly_zeta
 from weylkit.weyl import WeylElement, d, z
 
@@ -77,6 +77,12 @@ def test_exponent_cap():
     parse_expression(f"z1^{MAX_EXPONENT}", ambient=1)
     with pytest.raises(ParseError):
         parse_expression(f"z1^{MAX_EXPONENT + 1}", ambient=1)
+
+
+def test_nesting_cap():
+    assert parse_expression("(" * MAX_NESTING + "z1" + ")" * MAX_NESTING) == z(1, 1)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_expression("(" * (MAX_NESTING + 1) + "z1" + ")" * (MAX_NESTING + 1))
 
 
 def test_polynomial_parsing_uses_commuting_symbols():

@@ -26,24 +26,66 @@ from weylkit.report import check_lines
 from weylkit.scenario import CHECK_SCHEMAS, template_vars
 
 
-def test_eval_int_expr_arithmetic():
-    assert eval_int_expr("2*3 + 1") == 7
-    assert eval_int_expr("-(2 + 3)") == -5
-    assert eval_int_expr("l + 1", {"l": 2}) == 3
-    assert eval_int_expr("max(l - 1, 0)", {"l": 0}) == 0
-    assert eval_int_expr("max(l - 1, 0)", {"l": 3}) == 2
-    assert eval_int_expr("2*l - -1", {"l": 1}) == 3
+# Integer templates are read by Python's parser held to a whitelist
+# (weylkit.parser.read_arithmetic): (text, scope, value).
+INTEGER_FORMS = [
+    ("2*3 + 1", {}, 7),
+    ("-(2 + 3)", {}, -5),
+    ("1 - 2 - 3", {}, -4),
+    ("l + 1", {"l": 2}, 3),
+    ("max(l - 1, 0)", {"l": 0}, 0),
+    ("max(l - 1, 0)", {"l": 3}, 2),
+    ("max(max(l, c), -c)", {"l": 1, "c": -3}, 3),
+    ("2*l - -1", {"l": 1}, 3),
+    ("+l*-c", {"l": 2, "c": 3}, -6),
+    (" l ", {"l": 4}, 4),
+    ("l\n+\t1", {"l": 1}, 2),
+    ("0", {}, 0),
+    ("9" * 40, {}, int("9" * 40)),
+]
 
 
-def test_eval_int_expr_errors():
+@pytest.mark.parametrize("text, scope, value", INTEGER_FORMS)
+def test_integer_reader_accepts(text, scope, value):
+    assert eval_int_expr(text, scope) == value
+
+
+INTEGER_REFUSED = [
+    "0x10",
+    "1_0",
+    "007",
+    "00",
+    "True",
+    "1.5",
+    "2**3",
+    "2/1",
+    "2 ^ 3",
+    "max(1)",
+    "max(1, 2, 3)",
+    "max(l, c=1)",
+    "max(l, 1, key=abs)",
+    "abs(l)",
+    "l.real",
+    "l if l else 0",
+    "l + m",
+    "2 +",
+    "",
+    "(" * 400 + "l" + ")" * 400,
+]
+
+
+@pytest.mark.parametrize("text", INTEGER_REFUSED)
+def test_integer_reader_refuses_with_a_named_error(text):
     with pytest.raises(ScenarioError):
-        eval_int_expr("l + 1")  # unbound variable
-    with pytest.raises(ScenarioError):
-        eval_int_expr("2 +")
-    with pytest.raises(ScenarioError):
-        eval_int_expr("max(1)")
-    with pytest.raises(ScenarioError):
-        eval_int_expr("2 ^ 3")
+        eval_int_expr(text, {"l": 1})
+
+
+def test_integer_reader_bounds_the_length_it_reads():
+    # A sum at the length limit reads on every supported Python; a 5,000-term
+    # sum is refused before Python's parser sees it.
+    assert eval_int_expr("+".join(["1"] * 500)) == 500
+    with pytest.raises(ScenarioError, match="cannot read 9999 characters"):
+        eval_int_expr("+".join(["1"] * 5000))
 
 
 def test_substitution_and_template_vars():
@@ -189,6 +231,47 @@ MALFORMED = {
         },
         "check 'c1' foreach 'l' must list at least one integer",
     ),
+    # JSON true and false are not integers.
+    "ambient-bool": ({"ambient": True}, "ambient must be a positive integer"),
+    "delta-module-bool": ({"delta_module": [True]}, "delta_module must list indices in 1..2"),
+    "foreach-bool": (
+        {"ideals": {"J": {"generators": ["z1"]}}, "checks": [check(foreach={"l": [True]})]},
+        "check 'c1' foreach 'l' must list at least one integer",
+    ),
+    "matrix-bool": (
+        {"matrices": {"m": [[True, 0], [0, 1]]}},
+        "matrix 'm' must be a 2x2 list of integer rows",
+    ),
+    "binding-bool": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "checks": [check(ideal={"name": "J", "l": True})],
+        },
+        "check 'c1', field 'ideal': binding 'l' must be an integer or an integer expression",
+    ),
+    "reference-without-name": (
+        {"ideals": {"J": {"generators": ["z1"]}}, "checks": [check(ideal={"l": 1})]},
+        "check 'c1', field 'ideal': reference must be a name or an object with a name",
+    ),
+    "lmax-bool": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "checks": [
+                check(kind="interpolation", targets=[{"level": 0, "element": "1"}], lmax=True)
+            ],
+        },
+        "check 'c1', field 'lmax': must be an integer",
+    ),
+    "point-bool": ({"points": {"p": [True, 0]}}, "point 'p': cannot read 'True'"),
+    # Nesting ends in a named error, not in Python's recursion limit.
+    "template-nesting": (
+        {"sections": {"T": "z1^{" + "(" * 400 + "1" + ")" * 400 + "}"}},
+        "section 'T': cannot read",
+    ),
+    "operator-nesting": (
+        {"sections": {"T": "(" * 400 + "z1" + ")" * 400}},
+        "section 'T': parentheses nested deeper than 200",
+    ),
 }
 
 
@@ -312,8 +395,12 @@ def test_ideal_reference_with_bindings():
             )
         ],
     )
-    report = run_scenario(Scenario(raw))
+    scenario = Scenario(raw)
+    report = run_scenario(scenario)
     assert report["checks"][0]["verdict"] == "pass"
+    assert scenario.ideal({"name": "J", "l": 2}) is scenario.ideal({"name": "J", "l": "2"})
+    with pytest.raises(ScenarioError, match="unexpected 'True'"):
+        scenario.ideal({"name": "J", "l": True})
 
 
 def test_report_schema_and_ordering(n2_report):
