@@ -1,12 +1,19 @@
 """Shared sparse-element machinery for the operator and symbol rings.
 
-Elements are immutable maps from Monomial to nonzero Fraction, so each one
-computes its leading monomial at most once.  Subclasses supply a printing
-dialect and the ring product of two monomials through ``_term_product``,
-which yields (monomial, int) pairs.  Every product runs through one kernel,
-``_left_terms``: the terms of (coeff * mono) * self, one term of self at a
-time, with monomials that may repeat.  ``*``, division and S-polynomials
-accumulate those terms straight into a dict.
+Elements are immutable maps from Monomial to a nonzero exact rational, so
+each one computes its leading monomial at most once.  A coefficient is stored
+as an ``int`` when it is integral and as a ``Fraction`` only when its
+denominator exceeds 1, so most arithmetic runs on native ints; a sum or
+product may leave a ``Fraction`` with denominator 1, which equals and hashes
+as the ``int``.  No coefficient is ever a float: the one true division on
+coefficients is ``_exact_quotient``.
+
+Subclasses supply a printing dialect and the ring product of two monomials
+through ``_term_product``, which yields (monomial, int) pairs.  Every product
+runs through one kernel, ``_left_terms``: the terms of (coeff * mono) * self,
+one term of self at a time, with monomials that may repeat.  ``*``, division
+and S-polynomials accumulate those terms straight into a dict.  A subclass
+may override the kernel with a shorter path that yields the same terms.
 """
 
 from __future__ import annotations
@@ -36,8 +43,24 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _coefficient(value) -> Scalar:
+    """An exact rational as an element coefficient: an int when integral."""
+    if type(value) is int:
+        return value
+    c = as_fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact_quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b without a float: an int when both are ints and b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b  # a Fraction on either side keeps the quotient exact
+
+
 class SparseElement:
-    """Base class: a finite Fraction-linear combination of monomials."""
+    """Base class: a finite rational linear combination of monomials."""
 
     __slots__ = ("_ambient", "_terms", "_lead")
 
@@ -51,18 +74,18 @@ class SparseElement:
                 raise ValueError("monomial ambient mismatch")
             if any(e < 0 for e in mono.zexp) or any(e < 0 for e in mono.dexp):
                 raise ValueError("negative exponent")
-            c = as_fraction(coeff)
+            c = _coefficient(coeff)
             if c:
                 nonzero.append((mono, c))
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         _accumulate(clean, nonzero)
         object.__setattr__(self, "_ambient", ambient)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_lead", None)
 
-    def _make(self, clean: dict[Monomial, Fraction], lead: Monomial | None = None):
+    def _make(self, clean: dict[Monomial, Scalar], lead: Monomial | None = None):
         """Same type and ambient around a dict that arithmetic on validated
-        elements produced: nonzero Fractions on well-formed monomials, so the
+        elements produced: nonzero coefficients on well-formed monomials, so the
         checks in ``__init__`` are skipped.  ``lead`` is passed on when the
         support is unchanged."""
         out = object.__new__(type(self))
@@ -79,7 +102,7 @@ class SparseElement:
         return self._ambient
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def terms(self) -> Mapping[Monomial, Scalar]:
         return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
@@ -91,7 +114,7 @@ class SparseElement:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self._terms.items())
 
     def __eq__(self, other) -> bool:
@@ -115,7 +138,7 @@ class SparseElement:
 
     @classmethod
     def constant(cls, value: Scalar, ambient: int):
-        return cls(ambient, {unit_monomial(ambient): as_fraction(value)})
+        return cls(ambient, {unit_monomial(ambient): _coefficient(value)})
 
     @classmethod
     def one(cls, ambient: int):
@@ -123,7 +146,7 @@ class SparseElement:
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff: Scalar = 1):
-        return cls(mono.ambient, {mono: as_fraction(coeff)})
+        return cls(mono.ambient, {mono: _coefficient(coeff)})
 
     # -- linear structure ------------------------------------------------------
 
@@ -159,16 +182,20 @@ class SparseElement:
         return (-self) + other
 
     def scaled(self, value: Scalar):
-        c = as_fraction(value)
+        c = _coefficient(value)
         if not c:
             return type(self).zero(self._ambient)
-        return self._make({m: k * c for m, k in self._terms.items()}, self._lead)
+        out: dict[Monomial, Scalar] = {}
+        for m, k in self._terms.items():
+            k *= c
+            out[m] = k.numerator if k.denominator == 1 else k
+        return self._make(out, self._lead)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._require_same(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             _accumulate(out, other._left_terms(m1, c1))
         return self._make(out)
@@ -196,7 +223,7 @@ class SparseElement:
         """Terms of the product m1 * m2 with integer coefficients."""
         raise NotImplementedError
 
-    def _left_terms(self, mono: Monomial, coeff: Fraction) -> Iterator[tuple[Monomial, Fraction]]:
+    def _left_terms(self, mono: Monomial, coeff: Scalar) -> Iterator[tuple[Monomial, Scalar]]:
         """Terms of (coeff * mono) * self; a monomial may repeat and the
         repeats may cancel, so callers accumulate."""
         term_product = self._term_product
@@ -214,24 +241,24 @@ class SparseElement:
             object.__setattr__(self, "_lead", max(self._terms, key=DEFAULT_ORDER.key))
         return self._lead
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         return self._terms[self.leading_monomial()]
 
     def monic(self):
         if not self._terms:
             raise ValueError("cannot normalize the zero element")
-        return self.scaled(1 / self.leading_coefficient())
+        return self.scaled(_exact_quotient(1, self.leading_coefficient()))
 
     def total_degree(self) -> int:
         if not self._terms:
             raise ValueError("zero element has no degree")
         return max(m.total_degree() for m in self._terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: DEFAULT_ORDER.key(kv[0]), reverse=True)
 
 
-def _accumulate(out: dict[Monomial, Fraction], terms: Iterable[tuple[Monomial, Fraction]]) -> None:
+def _accumulate(out: dict[Monomial, Scalar], terms: Iterable[tuple[Monomial, Scalar]]) -> None:
     """Add ``terms`` into ``out`` in place, dropping monomials that cancel."""
     for mono, c in terms:
         acc = out.get(mono)
@@ -245,7 +272,7 @@ def _accumulate(out: dict[Monomial, Fraction], terms: Iterable[tuple[Monomial, F
                 del out[mono]
 
 
-def _check_printable(coeff: Fraction, term: str) -> None:
+def _check_printable(coeff: Scalar, term: str) -> None:
     """Raise a named error where ``str`` would hit the interpreter's limit on
     integer-to-string conversion (absent before Python 3.10.7; 0 means no
     limit)."""

@@ -35,11 +35,10 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from fractions import Fraction
 from operator import and_, getitem
 from typing import Sequence
 
-from .base import SparseElement, _accumulate
+from .base import Scalar, SparseElement, _accumulate, _exact_quotient
 from .monomial import Monomial
 from .orders import DEFAULT_ORDER
 from .poly import Poly
@@ -83,12 +82,12 @@ class _LeadingTerms:
 
     def __init__(self, slots: int):
         self.monomials: list[Monomial] = []
-        self.coefficients: list[Fraction | None] = []
+        self.coefficients: list[Scalar | None] = []
         self._exps = [[0] for _ in range(slots)]
         self._masks = [[0, 0] for _ in range(slots)]
         self._all = 0
 
-    def add(self, lm: Monomial, lc: Fraction) -> None:
+    def add(self, lm: Monomial, lc: Scalar) -> None:
         bit = 1 << len(self.monomials)
         self.monomials.append(lm)
         self.coefficients.append(None if lc == 1 else lc)
@@ -168,8 +167,8 @@ def _divide(
     work = dict(element.terms)
     heap = [(heap_key(mono), mono) for mono in work]
     heapq.heapify(heap)
-    remainder: dict[Monomial, Fraction] = {}
-    cofactors: list[dict[Monomial, Fraction]] = [{} for _ in basis]
+    remainder: dict[Monomial, Scalar] = {}
+    cofactors: list[dict[Monomial, Scalar]] = [{} for _ in basis]
     while heap:
         mono = heapq.heappop(heap)[1]
         coeff = work.get(mono)
@@ -181,7 +180,7 @@ def _divide(
             continue
         quotient = mono.quotient(monomials[i])
         lc = coefficients[i]
-        factor = coeff if lc is None else coeff / lc
+        factor = coeff if lc is None else _exact_quotient(coeff, lc)
         for term, c in basis[i]._left_terms(quotient, factor):
             acc = work.get(term)
             if acc is None:
@@ -204,9 +203,9 @@ def s_polynomial(f: SparseElement, g: SparseElement) -> SparseElement:
     lm_f = f.leading_monomial()
     lm_g = g.leading_monomial()
     lcm = lm_f.lcm(lm_g)
-    out: dict[Monomial, Fraction] = {}
-    _accumulate(out, f._left_terms(lcm.quotient(lm_f), 1 / f.terms[lm_f]))
-    _accumulate(out, g._left_terms(lcm.quotient(lm_g), -1 / g.terms[lm_g]))
+    out: dict[Monomial, Scalar] = {}
+    _accumulate(out, f._left_terms(lcm.quotient(lm_f), _exact_quotient(1, f.terms[lm_f])))
+    _accumulate(out, g._left_terms(lcm.quotient(lm_g), _exact_quotient(-1, g.terms[lm_g])))
     return f._make(out)
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
+from .base import Scalar, _exact_quotient
 from .poly import Poly, poly_z, poly_zeta
 from .weyl import WeylElement, d, z
 
@@ -218,7 +218,8 @@ class _Parser:
             return value
         raise ParseError(f"unexpected token {tok.kind!r}", tok.position)
 
-    def rational(self, tok: _Token) -> Fraction:
+    def rational(self, tok: _Token) -> Scalar:
+        """A literal ``n`` or ``n/m``: an int when the denominator is 1."""
         numerator = tok.value
         nxt = self.peek()
         if nxt is not None and nxt.kind == "/":
@@ -226,8 +227,8 @@ class _Parser:
             denom_tok = self.expect("num")
             if denom_tok.value == 0:
                 raise ParseError("zero denominator", denom_tok.position)
-            return Fraction(numerator, denom_tok.value)
-        return Fraction(numerator)
+            return _exact_quotient(numerator, denom_tok.value)
+        return numerator
 
     def generator(self, tok: _Token):
         if tok.index > self.ambient:

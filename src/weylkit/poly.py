@@ -7,9 +7,9 @@ operator ring; only the product differs.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Iterator
 
-from .base import SparseElement, format_terms
+from .base import Scalar, SparseElement, format_terms
 from .monomial import Monomial, d_monomial, z_monomial
 
 
@@ -20,6 +20,10 @@ class Poly(SparseElement):
 
     def _term_product(self, m1: Monomial, m2: Monomial):
         yield m1.mul(m2), 1
+
+    def _left_terms(self, mono: Monomial, coeff: Scalar) -> Iterator[tuple[Monomial, Scalar]]:
+        for m2, c2 in self._terms.items():
+            yield mono.mul(m2), coeff * c2
 
     def __str__(self) -> str:
         return format_terms(self, "zeta")
@@ -36,7 +40,7 @@ class Poly(SparseElement):
                 f"variable index {index} out of range 1..{self.ambient}"
             )
         slot = index - 1
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, coeff in self:
             exps = mono.zexp if kind == "z" else mono.dexp
             e = exps[slot]

@@ -186,11 +186,19 @@ class Scenario:
         self._entries: dict[tuple[str, str], tuple[Any, frozenset[str]]] = {}
         self._cache: dict[tuple, Any] = {}
         self._validate_references()
-        # Validating an entry is resolving it, under the parameter values the
-        # checks bind; what load builds stays cached for the run.
+        # Validating an entry is resolving it, under each binding of the
+        # variables it uses that a check reads; what load builds stays cached
+        # for the run.
+        read = self._read_bindings()
         for kind, table in _TABLES.items():
             for name in raw.get(table, {}):
-                for scope in self._sample_scopes(self._entry(kind, name)[1]):
+                used = self._entry(kind, name)[1]
+                bindings = {
+                    tuple((k, bound[k]) for k in sorted(used))
+                    for bound in read.get((kind, name), ())
+                    if used <= bound.keys()
+                }
+                for scope in [dict(b) for b in sorted(bindings)] or self._sample_scopes(used):
                     getattr(self, kind)(name, scope)
 
     # -- construction and validation --
@@ -313,9 +321,38 @@ class Scenario:
                 if not isinstance(entry, dict) or "factors" not in entry:
                     raise fail("each term needs a factors list")
 
+    def _read_bindings(self) -> dict[tuple[str, str], list[dict[str, int]]]:
+        """The scopes under which the checks read each table entry, by (kind,
+        name), bound as the run binds them: rebindings such as ``{"name":
+        "Iprime", "l": "l+1"}`` apply, and an interpolation's ideal family is
+        read at its targets' levels.  A reference that cannot be bound (an
+        unknown variable, a negative l) is left for its check's record."""
+        read: dict[tuple[str, str], list[dict[str, int]]] = {}
+        for check in self.checks:
+            for _, scope in check.instances():
+                for field, ftype in CHECK_SCHEMAS[check.kind].items():
+                    value = check.params[field]
+                    if ftype == "section_list":
+                        refs = [("section", ref, scope) for ref in value]
+                    elif ftype == "ideal_family":
+                        levels = [t["level"] for t in check.params["targets"]]
+                        refs = [("ideal", value, {**scope, "l": v}) for v in levels if type(v) is int]
+                    elif ftype in _TABLES:
+                        refs = [(ftype, value, scope)]
+                    else:
+                        continue
+                    for kind, ref, outer in refs:
+                        try:
+                            name, bound, _ = self._split_ref(kind, ref, outer)
+                        except ScenarioError:
+                            continue
+                        read.setdefault((kind, name), []).append(bound)
+        return read
+
     def _sample_scopes(self, names: frozenset[str]) -> list[dict[str, int]]:
-        """Scopes under which load resolves an entry that uses ``names``: each
-        name takes the values the checks' ``foreach`` give it, or 0 and 1."""
+        """Scopes under which load resolves an entry that uses ``names`` and
+        that no check reads: each name takes the values the checks'
+        ``foreach`` give it, or 0 and 1."""
         keys = sorted(names)
         pools = [
             sorted({v for check in self.checks for v in check.foreach.get(k, ())}) or [0, 1]

@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, factorial
-from operator import mul
-from typing import AbstractSet
+from operator import add, mul
+from typing import AbstractSet, Iterator
 
-from .base import SparseElement, format_terms
+from .base import Scalar, SparseElement, format_terms
 from .monomial import Monomial, d_monomial, z_monomial
 from .poly import Poly
 
@@ -55,6 +55,17 @@ class WeylElement(SparseElement):
                 zexp.append(a + zp)
                 dexp.append(e + dp)
             yield Monomial(tuple(zexp), tuple(dexp)), coeff
+
+    def _left_terms(self, mono: Monomial, coeff: Scalar) -> Iterator[tuple[Monomial, Scalar]]:
+        if any(mono.dexp):
+            return super()._left_terms(mono, coeff)
+        # z^a (z^c d^e) = z^(a+c) d^e: with no d in the multiplier nothing
+        # moves, and each term keeps its d exponents as they are.
+        zexp = mono.zexp
+        return (
+            (Monomial(tuple(map(add, zexp, m2.zexp)), m2.dexp), coeff * c2)
+            for m2, c2 in self._terms.items()
+        )
 
     def __str__(self) -> str:
         return format_terms(self, "d")

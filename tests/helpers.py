@@ -286,7 +286,7 @@ def naive_reduce(element, basis):
         for i, g in enumerate(basis):
             lm = max(g.terms, key=DEFAULT_ORDER.key)
             if lm.divides(mono):
-                piece = kind.from_monomial(mono.quotient(lm), coeff / g.terms[lm])
+                piece = kind.from_monomial(mono.quotient(lm), Fraction(coeff) / g.terms[lm])
                 work = work - piece * g
                 cofactors[i] = cofactors[i] + piece
                 break

@@ -59,3 +59,25 @@ def test_every_export_has_a_use_outside_the_tests():
     documented = set(re.findall(r"\w+", library))
     unused = [name for name in weylkit.__all__ if name not in used | traced | documented]
     assert unused == []
+
+
+def test_element_coefficients_are_divided_only_by_the_exact_quotient():
+    """Python's ``/`` on two ints is a float, and element coefficients are
+    ints when integral, so element code divides them through
+    ``base._exact_quotient`` alone."""
+    package = Path(weylkit.__file__).resolve().parent
+    found = []
+    for name in ("base", "groebner", "weyl", "poly", "charvar", "deltamod", "runner", "parser"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_exact_quotient":
+                allowed.update(map(id, ast.walk(node)))
+        found += [
+            f"{name}.py:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)
+            and id(node) not in allowed
+        ]
+    assert found == []

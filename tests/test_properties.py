@@ -1,11 +1,13 @@
 """Hypothesis properties: the division identity, uniqueness of reduced normal
-forms, the parse/print round trip, and the partial Fourier transform (its
-order four and its intertwining of the delta-module action).
+forms, the parse/print round trip, the coefficient contract (an int when
+integral, never a float), and the partial Fourier transform (its order four
+and its intertwining of the delta-module action).
 
 Examples are derandomized and no example database is kept, so every run
 draws the same sample.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -26,6 +28,8 @@ from weylkit import (
     partial_fourier,
     reduce_element,
 )
+from helpers import naive_reduce
+from weylkit.base import SparseElement
 from weylkit.charvar import graded_ideal
 from weylkit.weyl import WeylElement
 
@@ -125,6 +129,70 @@ def test_operator_print_parse_round_trip(element):
 @given(st.integers(1, 3).flatmap(lambda m: elements(Poly, m)))
 def test_polynomial_print_parse_round_trip(element):
     assert parse_polynomial(str(element), ambient=element.ambient) == element
+
+
+def stored(element) -> bool:
+    """Each coefficient is an int, or a Fraction with denominator > 1."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        for c in element.terms.values()
+    )
+
+
+def exact(element) -> bool:
+    """Each coefficient is an int or a Fraction: sums and products may leave
+    a Fraction with denominator 1, but never a float."""
+    return all(type(c) in (int, Fraction) for c in element.terms.values())
+
+
+def as_fractions(element) -> dict:
+    return {mono: Fraction(c) for mono, c in element.terms.items()}
+
+
+INTEGRAL_OR_NOT = st.one_of(st.integers(-9, 9).filter(bool), COEFFICIENTS)
+
+
+@st.composite
+def coefficient_case(draw):
+    """Two elements of one ring, drawn with int and Fraction coefficients,
+    a nonzero rational scale, and a paper division."""
+    kind = draw(st.sampled_from([WeylElement, Poly]))
+    ambient = draw(st.integers(1, 3))
+    pair = st.dictionaries(monomials(ambient, 3), INTEGRAL_OR_NOT, max_size=4)
+    x, y = (kind(ambient, draw(pair)) for _ in range(2))
+    scale = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 6)))
+    return x, y, scale, draw(st.one_of(paper_division(), paper_division(graded=True)))
+
+
+@PROPERTY
+@given(coefficient_case())
+def test_coefficients_are_ints_when_integral_and_never_floats(case):
+    x, y, scale, (basis, v) = case
+    kind, ambient = type(x), x.ambient
+    # What every coefficient was when elements stored only Fractions.
+    fractions = as_fractions(x)
+    assert stored(x) and as_fractions(x) == fractions
+
+    product = x * y
+    assert exact(product)
+    generic = [t for m1, c1 in fractions.items() for t in SparseElement._left_terms(y, m1, c1)]
+    assert as_fractions(product) == as_fractions(kind(ambient, generic))
+
+    scaled = x.scaled(scale)
+    assert stored(scaled)
+    assert as_fractions(scaled) == {m: c * scale for m, c in fractions.items()}
+    if x:
+        lc = Fraction(x.leading_coefficient())
+        assert stored(x.monic())
+        assert as_fractions(x.monic()) == {m: c / lc for m, c in fractions.items()}
+
+    parse = parse_expression if kind is WeylElement else parse_polynomial
+    parsed = parse(str(x), ambient=ambient)
+    assert stored(parsed) and parsed == x and str(parsed) == str(x)
+
+    normal_form = reduce_element(v, basis)
+    assert exact(normal_form)
+    assert as_fractions(normal_form) == as_fractions(naive_reduce(v, basis)[0])
 
 
 @st.composite

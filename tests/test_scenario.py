@@ -23,7 +23,7 @@ from weylkit import (
     substitute,
 )
 from weylkit.report import check_lines
-from weylkit.scenario import CHECK_SCHEMAS, template_vars
+from weylkit.scenario import BUILTIN_SCENARIOS, CHECK_SCHEMAS, template_vars
 
 
 # Integer templates are read by Python's parser held to a whitelist
@@ -115,6 +115,25 @@ def test_minimal_scenario_runs_empty():
         "all_pass": True,
     }
     assert report["checks"] == []
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_load_builds_only_what_is_read(monkeypatch, name):
+    """Every object load caches is read, by a check of the run or by another
+    entry.  The first lookup of a key builds its object and load's own pass
+    looks each key up at most once, so a key looked up once was never read."""
+    lookups = Counter()
+    lookup = Scenario._lookup
+
+    def counted(self, kind, ref, scope):
+        found = lookup(self, kind, ref, scope)
+        lookups[found[0]] += 1
+        return found
+
+    monkeypatch.setattr(Scenario, "_lookup", counted)
+    scenario = load_scenario(name)
+    run_scenario(scenario)
+    assert scenario._cache and [key for key in scenario._cache if lookups[key] < 2] == []
 
 
 def test_builtin_scenarios_load(n2_scenario, n3_scenario):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 import pytest
 
@@ -24,6 +25,7 @@ from weylkit import (
 )
 from weylkit.poly import Poly, poly_z, poly_zeta
 from weylkit import weyl
+from weylkit.base import SparseElement
 from weylkit.weyl import _reorder_one_variable, d, z
 
 
@@ -78,18 +80,25 @@ def test_reorder_rows_are_cached_bounded_and_match_the_closed_form():
 @pytest.mark.parametrize("ambient", [1, 2, 3])
 def test_left_terms_sum_to_the_product(ambient):
     rng = random.Random(f"weylkit-left-terms:{ambient}")
+    every_z = WeylElement.from_monomial(Monomial((1,) * ambient, (0,) * ambient))
     for _ in range(30):
         g = random_element(rng, ambient, max_exp=3)
-        mono = Monomial(
-            tuple(rng.randint(0, 3) for _ in range(ambient)),
-            tuple(rng.randint(0, 3) for _ in range(ambient)),
-        )
+        zexp = tuple(rng.randint(0, 3) for _ in range(ambient))
+        mono = Monomial(zexp, tuple(rng.randint(0, 3) for _ in range(ambient)))
+        # Pinned multipliers: one with no d part (WeylElement's short path)
+        # and one whose d part meets a z factor of every term of z1..zm * g.
+        no_d = Monomial(zexp, (0,) * ambient)
+        meets_z = Monomial(zexp, tuple(e + 1 for e in mono.dexp))
         coeff = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
         for kind in (WeylElement, Poly):
-            element = kind(ambient, g.terms)
-            summed = kind(ambient, list(element._left_terms(mono, coeff)))
-            assert summed == kind.from_monomial(mono, coeff) * element
+            for m1, g1 in ((mono, g), (no_d, g), (meets_z, every_z * g)):
+                element = kind(ambient, g1.terms)
+                for c1 in (coeff, rng.randint(-5, 5) or 1):
+                    summed = kind(ambient, list(element._left_terms(m1, c1)))
+                    generic = kind(ambient, list(SparseElement._left_terms(element, m1, c1)))
+                    assert summed == generic == kind.from_monomial(m1, c1) * element
             for m2 in element.terms:
+                assert all(map(mul, meets_z.dexp, m2.zexp))
                 assert all(type(k) is int for _, k in element._term_product(mono, m2))
 
 
