@@ -46,7 +46,11 @@ def graded_ideal(ideal: LeftIdeal) -> LeftIdeal:
     basis = ideal.groebner_basis()
     if not basis.elements:
         return LeftIdeal([Poly.zero(ideal.ambient)])
-    return _ideal_from_reduced_basis([principal_symbol(g) for g in basis.elements])
+    # Each symbol keeps its operator's leading monomial and coefficient 1, so
+    # the operator basis's index serves the symbols unchanged.
+    return _ideal_from_reduced_basis(
+        [principal_symbol(g) for g in basis.elements], basis.leading
+    )
 
 
 def _slot_name(slot: int, m: int) -> str:
@@ -110,11 +114,7 @@ def _independent_analysis(basis: GroebnerBasis, m: int) -> tuple[int, list[froze
 def krull_dimension(graded: LeftIdeal) -> int:
     """Dimension of the zero set of the graded ideal."""
     _require_symbol(graded)
-    basis = graded.groebner_basis()
-    m = graded.ambient
-    if not basis.elements:
-        return 2 * m
-    dim, _ = _independent_analysis(basis, m)
+    dim, _ = _independent_analysis(graded.groebner_basis(), graded.ambient)
     if dim == -1:
         raise ImproperIdealError("improper ideal: 1 is a member")
     return dim
@@ -206,10 +206,8 @@ def multiplicity(graded: LeftIdeal) -> int:
     _require_symbol(graded)
     basis = graded.groebner_basis()
     m = graded.ambient
-    if not basis.elements:
-        return 1
     gens = [lm.slots() for lm in basis.leading_monomials()]
-    numerator = _hilbert_numerator(list(gens))
+    numerator = _hilbert_numerator(gens)
     if all(c == 0 for c in numerator):
         raise ImproperIdealError("improper ideal: 1 is a member")
     stripped = 0
@@ -325,8 +323,7 @@ def simplicity_certificate(ideal: LeftIdeal) -> HolonomicityCertificate:
     _require_operator(ideal)
     m = ideal.ambient
     graded = graded_ideal(ideal)
-    basis = graded.groebner_basis()
-    dim, independent = _independent_analysis(basis, m) if basis.elements else (2 * m, [])
+    dim, independent = _independent_analysis(graded.groebner_basis(), m)
     _assert_bernstein(dim, m)
     mult = multiplicity(graded)
     if dim != m:

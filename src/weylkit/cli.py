@@ -137,7 +137,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         else:
             if not args.support:
                 raise ScenarioError("certify needs --scenario or --support to fix the delta module")
-            support = frozenset(int(part) for part in args.support.split(","))
+            try:
+                support = frozenset(int(part) for part in args.support.split(","))
+            except ValueError:
+                raise ScenarioError(
+                    f"--support expects comma-separated variable indices, got {args.support!r}"
+                ) from None
             module = DeltaModule(ideal.ambient, support)
         section = section_from_operator(module, parse_expression(args.section, module.ambient))
     cert = certify_annihilator(ideal, section)

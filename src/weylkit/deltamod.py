@@ -101,7 +101,7 @@ def act(op: WeylElement, section: DeltaSection) -> DeltaSection:
     m = module.ambient
     if op.ambient != m:
         raise ValueError("operator and section ambient mismatch")
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Scalar] = {}
     _accumulate(out, _act_terms(op, module, section.data))
     return DeltaSection(module, Poly(m, out))
 
@@ -159,7 +159,7 @@ def act_on_polynomial(op: WeylElement, polynomial: Poly) -> Poly:
 def delta_to_polynomial(section: DeltaSection) -> Poly:
     """Dictionary z^a d^b delta -> (-1)^|b| z^a z^b onto plain polynomials."""
     m = section.module.ambient
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Scalar] = {}
     _accumulate(
         out,
         (

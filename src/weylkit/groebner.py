@@ -12,7 +12,8 @@ support guarantees; the coprime shortcut alone fails already for the pair
 
 Division finds its divisor through a per-slot index of the basis leading
 monomials: one bisection per slot and an AND of bitmasks, whatever the basis
-size.
+size.  A reduced basis carries the index built with it, so an ideal's
+divisions never rebuild it; ``reduce_element`` builds one per call.
 
 Buchberger's pair update works on packed exponent vectors: each leading
 monomial is packed once, when it enters the basis, into one int with a
@@ -33,8 +34,8 @@ from __future__ import annotations
 import heapq
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from dataclasses import dataclass, field
+from functools import reduce
 from operator import and_, getitem
 from typing import Sequence
 
@@ -121,25 +122,25 @@ def reduce_element(
     Returns the normal form, or ``(normal_form, cofactors)`` with
     ``element == sum(cofactors[i] * basis[i]) + normal_form`` when ``track``
     is set.  Terms are processed from the top down; the first basis element
-    whose leading monomial divides wins.
+    whose leading monomial divides wins.  The leading terms of ``basis`` are
+    indexed afresh on every call; ``LeftIdeal.reduce`` reuses its basis's index.
     """
-    return _divide(element, basis, _division_data(basis, type(element), element.ambient), track)
-
-
-def _division_data(
-    basis: Sequence[SparseElement], kind: type, ambient: int
-) -> _LeadingTerms:
-    """Check that ``basis`` holds nonzero elements of one ring; index its leading terms."""
-    leading = _LeadingTerms(2 * ambient)
+    _same_ring(basis, type(element), element.ambient, "division")
+    leading = _LeadingTerms(2 * element.ambient)
     for g in basis:
-        if type(g) is not kind:
-            raise TypeError("mixed element types in division")
-        if g.ambient != ambient:
-            raise ValueError("ambient mismatch in division")
         if g.is_zero():
             raise ValueError("zero divisor in basis")
         leading.add(g.leading_monomial(), g.leading_coefficient())
-    return leading
+    return _divide(element, basis, leading, track)
+
+
+def _same_ring(elements: Sequence[SparseElement], kind: type, ambient: int, what: str) -> None:
+    """Raise unless every element is a ``kind`` over ``ambient`` variables."""
+    for g in elements:
+        if type(g) is not kind:
+            raise TypeError(f"mixed element types in {what}")
+        if g.ambient != ambient:
+            raise ValueError(f"ambient mismatch in {what}")
 
 
 def _divide(
@@ -274,52 +275,22 @@ def _variable_support(element: SparseElement) -> int:
 class GroebnerBasis:
     """Reduced left Groebner basis, monic, sorted ascending by leading monomial.
 
-    The counters describe the Buchberger run that built it: S-pairs reduced,
-    how many of those reduced to zero, and pairs skipped by the chain and by
-    the product (commuting generators) criterion.
+    ``leading`` indexes the leading terms of ``elements`` for division and is
+    built with them; no index is added to after a basis holds it.  The
+    counters describe the Buchberger run that built it: S-pairs reduced, how
+    many of those reduced to zero, and pairs skipped by the chain and by the
+    product (commuting generators) criterion.
     """
 
     elements: tuple[SparseElement, ...]
+    leading: _LeadingTerms = field(repr=False, compare=False)
     pairs_processed: int
     reductions_to_zero: int
     pairs_skipped_chain: int
     pairs_skipped_commuting: int
 
-    @property
-    def ambient(self) -> int:
-        if not self.elements:
-            raise ValueError("empty basis has no ambient")
-        return self.elements[0].ambient
-
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial() for g in self.elements)
-
-    @cached_property
-    def _leading(self) -> _LeadingTerms:
-        """Division index, checked and built once."""
-        return _division_data(self.elements, type(self.elements[0]), self.ambient)
-
-    def reduce(self, element: SparseElement, track: bool = False):
-        if not self.elements:
-            if track:
-                return element, []
-            return element
-        leading = self._leading
-        if type(element) is not type(self.elements[0]):
-            raise TypeError("mixed element types in division")
-        if element.ambient != self.ambient:
-            raise ValueError("ambient mismatch in division")
-        return _divide(element, self.elements, leading, track)
-
-    def contains(self, element: SparseElement) -> bool:
-        if element.is_zero():
-            return True
-        if not self.elements:
-            return False
-        return self.reduce(element).is_zero()
-
-    def is_unit_ideal(self) -> bool:
-        return any(g.leading_monomial().is_unit() for g in self.elements)
+        return tuple(self.leading.monomials)
 
 
 def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
@@ -356,16 +327,11 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     limit = _pair_limit()
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return GroebnerBasis((), 0, 0, 0, 0)
+        return GroebnerBasis((), _LeadingTerms(0), 0, 0, 0, 0)
     kind = type(gens[0])
-    ambient = gens[0].ambient
-    for g in gens:
-        if type(g) is not kind:
-            raise TypeError("mixed element types in generators")
-        if g.ambient != ambient:
-            raise ValueError("ambient mismatch in generators")
+    _same_ring(gens, kind, gens[0].ambient, "generators")
 
-    slots = 2 * ambient
+    slots = 2 * gens[0].ambient
     commutative = issubclass(kind, Poly)
     px = _PackedExponents(slots, max(g.total_degree() for g in gens))
     basis: list[SparseElement] = []
@@ -457,20 +423,22 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
         else:
             insert(remainder)
 
+    reduced, reduced_leading = _interreduce(basis)
     return GroebnerBasis(
-        tuple(_interreduce(basis)), processed, zero_reductions, chain, commuting
+        tuple(reduced), reduced_leading, processed, zero_reductions, chain, commuting
     )
 
 
-def _interreduce(basis: list[SparseElement]) -> list[SparseElement]:
-    """Reduced basis from a Groebner basis, in one ascending pass.
+def _interreduce(
+    basis: list[SparseElement],
+) -> tuple[list[SparseElement], _LeadingTerms]:
+    """Reduced basis from a nonempty Groebner basis, in one ascending pass,
+    with the index of its leading terms.
 
     Every tail term of an element lies below its leading monomial, so only
     smaller leading monomials can divide it: each minimal element is divided
     by the smaller, already reduced ones and then joins them.
     """
-    if not basis:
-        return []
     reduced: list[SparseElement] = []
     leading = _LeadingTerms(2 * basis[0].ambient)
     for g in sorted(basis, key=lambda g: DEFAULT_ORDER.key(g.leading_monomial())):
@@ -484,16 +452,19 @@ def _interreduce(basis: list[SparseElement]) -> list[SparseElement]:
         g = g.monic()
         reduced.append(g)
         leading.add(lm, g.leading_coefficient())
-    return reduced
+    return reduced, leading
 
 
-def _ideal_from_reduced_basis(elements: Sequence[SparseElement]) -> "LeftIdeal":
-    """Left ideal whose generators already are its reduced Groebner basis.
+def _ideal_from_reduced_basis(
+    elements: Sequence[SparseElement], leading: _LeadingTerms
+) -> "LeftIdeal":
+    """Left ideal whose generators already are its reduced Groebner basis,
+    with ``leading`` the index of their leading terms.
 
     No Buchberger run builds the basis, so its pair counters are all 0.
     """
     ideal = LeftIdeal(elements)
-    ideal._basis = GroebnerBasis(tuple(elements), 0, 0, 0, 0)
+    ideal._basis = GroebnerBasis(tuple(elements), leading, 0, 0, 0, 0)
     return ideal
 
 
@@ -504,16 +475,10 @@ class LeftIdeal:
         gens = tuple(generators)
         if not gens:
             raise ValueError("an ideal needs at least one generator (use 0 for the zero ideal)")
-        ambient = gens[0].ambient
-        kind = type(gens[0])
-        for g in gens:
-            if type(g) is not kind:
-                raise TypeError("mixed element types in generators")
-            if g.ambient != ambient:
-                raise ValueError("ambient mismatch in generators")
+        self._kind = type(gens[0])
+        self._ambient = gens[0].ambient
+        _same_ring(gens, self._kind, self._ambient, "generators")
         self._generators = gens
-        self._ambient = ambient
-        self._kind = kind
         self._basis: GroebnerBasis | None = None
 
     @property
@@ -534,13 +499,17 @@ class LeftIdeal:
         return self._basis
 
     def reduce(self, element: SparseElement, track: bool = False):
-        return self.groebner_basis().reduce(element, track=track)
+        """Left division of ``element``, of this ideal's ring, by the basis;
+        returns as ``reduce_element``."""
+        _same_ring((element,), self._kind, self._ambient, "division")
+        basis = self.groebner_basis()
+        return _divide(element, basis.elements, basis.leading, track)
 
     def contains(self, element: SparseElement) -> bool:
-        return self.groebner_basis().contains(element)
+        return self.reduce(element).is_zero()
 
     def is_unit(self) -> bool:
-        return self.groebner_basis().is_unit_ideal()
+        return any(lm.is_unit() for lm in self.groebner_basis().leading.monomials)
 
     def is_zero(self) -> bool:
         return not self.groebner_basis().elements

@@ -374,7 +374,7 @@ def reference_buchberger(generators) -> GroebnerBasis:
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return GroebnerBasis((), 0, 0, 0, 0)
+        return GroebnerBasis((), _LeadingTerms(0), 0, 0, 0, 0)
     order_key = DEFAULT_ORDER.key
     basis = []
     leading = _LeadingTerms(2 * gens[0].ambient)
@@ -440,9 +440,23 @@ def reference_buchberger(generators) -> GroebnerBasis:
             zero_reductions += 1
         else:
             insert(remainder)
+    reduced, reduced_leading = _interreduce(basis)
     return GroebnerBasis(
-        tuple(_interreduce(basis)), processed, zero_reductions, chain, commuting
+        tuple(reduced), reduced_leading, processed, zero_reductions, chain, commuting
     )
+
+
+def fresh_index(elements) -> _LeadingTerms:
+    """Division index of ``elements``, built from scratch in list order."""
+    index = _LeadingTerms(2 * elements[0].ambient if elements else 0)
+    for g in elements:
+        index.add(g.leading_monomial(), g.leading_coefficient())
+    return index
+
+
+def index_state(index: _LeadingTerms) -> tuple:
+    """Everything a division index holds, for comparing two of them."""
+    return index.monomials, index.coefficients, index._exps, index._masks, index._all
 
 
 # -- Dense oracles for the Lie layer ------------------------------------------

@@ -16,9 +16,11 @@ from helpers import (
     check_bernstein_inequality,
     check_groebner_spairs,
     finite_difference,
+    fresh_index,
     hilbert_by_counting,
     hilbert_numerator_by_largest_generator,
     independent_sets_by_enumeration,
+    index_state,
     random_element,
 )
 from weylkit import (
@@ -188,8 +190,16 @@ def paper_ideal(request, scenario, name, l) -> LeftIdeal:
 
 def assert_graded_basis_is_the_buchberger_basis(ideal: LeftIdeal) -> None:
     basis = graded_ideal(ideal).groebner_basis()
-    symbols = [principal_symbol(g) for g in ideal.groebner_basis().elements]
+    operators = ideal.groebner_basis()
+    symbols = [principal_symbol(g) for g in operators.elements]
     assert basis.elements == buchberger(symbols).elements
+    # The graded basis shares the operator basis's index: sound only because
+    # each symbol keeps its operator's leading monomial, with coefficient 1.
+    for symbol, operator in zip(basis.elements, operators.elements):
+        assert symbol.leading_monomial() == operator.leading_monomial()
+        assert symbol.leading_coefficient() == 1
+    assert basis.leading is operators.leading
+    assert index_state(basis.leading) == index_state(fresh_index(basis.elements))
     assert (
         basis.pairs_processed,
         basis.reductions_to_zero,
@@ -231,7 +241,7 @@ def test_independent_analysis_and_hilbert_numerator_match_the_oracles(request, s
 
 def monomial_basis(leading: list[tuple[int, ...]], m: int) -> GroebnerBasis:
     elements = [Poly.from_monomial(Monomial(lm[:m], lm[m:])) for lm in leading]
-    return GroebnerBasis(tuple(elements), 0, 0, 0, 0)
+    return GroebnerBasis(tuple(elements), fresh_index(elements), 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -79,6 +79,26 @@ def test_member_inline_ideal(capsys):
     assert "ambient mismatch" in err
 
 
+def test_reduce_modulo_the_zero_ideal_checks_the_ambient(capsys):
+    code, out, _ = run(capsys, "reduce", "z3", "--mod", "0", "--ambient", "3")
+    assert (code, out.strip()) == (0, "z3")
+    for ideal in ("0", "z1"):
+        code, out, err = run(capsys, "reduce", "z3", "--mod", ideal)
+        assert code == 2
+        assert out == ""
+        assert "ambient mismatch" in err
+
+
+@pytest.mark.parametrize("support", ["x", "2,", "2,,4"])
+def test_certify_refuses_a_malformed_support(capsys, support):
+    code, out, err = run(
+        capsys, "certify", "d1", "--section", "1", "--support", support, "--ambient", "4"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --support expects comma-separated variable indices, got {support!r}\n"
+
+
 def test_charvar_fixture(capsys):
     code, out, _ = run(capsys, "charvar", "I3", "--scenario", "paper-n2")
     assert code == 0

@@ -9,6 +9,8 @@ import pytest
 from helpers import (
     check_groebner_spairs,
     fixpoint_interreduce,
+    fresh_index,
+    index_state,
     naive_reduce,
     random_element,
     reference_buchberger,
@@ -31,6 +33,7 @@ from weylkit import groebner
 from weylkit.charvar import graded_ideal
 from weylkit.groebner import _LeadingTerms, _PackedExponents, _interreduce
 from weylkit.monomial import z_monomial
+from weylkit.poly import poly_z
 from weylkit.weyl import WeylElement, d, z
 
 
@@ -82,8 +85,7 @@ def test_buchberger_closes_random_ideals():
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
-        basis = LeftIdeal(gens).groebner_basis()
-        if basis.is_unit_ideal():
+        if LeftIdeal(gens).is_unit():
             continue
         check_groebner_spairs(gens)
         produced += 1
@@ -107,9 +109,8 @@ def test_reduced_basis_is_monic_sorted_and_self_reduced():
 
 
 def test_generators_reduce_to_zero_in_their_own_basis():
-    basis = I3.groebner_basis()
     for g in I3.generators:
-        assert basis.reduce(g).is_zero()
+        assert I3.reduce(g).is_zero()
 
 
 def test_membership_and_left_multiples():
@@ -145,6 +146,46 @@ def test_zero_and_constant_generators():
     assert zero_ideal.is_zero()
     assert not zero_ideal.contains(WeylElement.one(2))
     assert LeftIdeal([WeylElement.constant(7, 2)]).is_unit()
+    x = parse_expression("z1*d2 + 3*d1", ambient=2)
+    assert zero_ideal.reduce(x) == x
+    assert zero_ideal.reduce(x, track=True) == (x, [])
+
+
+def test_zero_ideal_refuses_elements_of_another_ring():
+    zero_ideal = LeftIdeal([WeylElement.zero(2)])
+    with pytest.raises(ValueError, match="ambient mismatch in division"):
+        zero_ideal.reduce(z(1, 3))
+    with pytest.raises(TypeError, match="mixed element types in division"):
+        zero_ideal.reduce(poly_z(1, 2))
+    with pytest.raises(TypeError, match="mixed element types in division"):
+        zero_ideal.contains(Poly.zero(2))
+    with pytest.raises(ValueError, match="ambient mismatch in division"):
+        I3.contains(WeylElement.zero(3))
+
+
+def test_ideal_division_reuses_the_index_its_basis_holds(monkeypatch, n3_scenario):
+    ideal = n3_scenario.ideal("I1l", {"l": 1})
+    basis = ideal.groebner_basis()
+    graded = graded_ideal(ideal)
+    adds = []
+    original = _LeadingTerms.add
+
+    def counting_add(self, lm, lc):
+        adds.append(lm)
+        original(self, lm, lc)
+
+    monkeypatch.setattr(_LeadingTerms, "add", counting_add)
+    rng = random.Random("weylkit-index-reuse")
+    for x in _division_queries(rng, list(basis.elements), WeylElement, 6):
+        ideal.reduce(x)
+        ideal.reduce(x, track=True)
+        ideal.contains(x)
+    assert not ideal.is_unit()
+    for g in graded.generators:
+        assert graded.contains(g)
+    assert adds == []
+    reduce_element(basis.elements[0], basis.elements)
+    assert len(adds) == len(basis.elements)
 
 
 def test_ideal_contains_and_equal():
@@ -212,6 +253,7 @@ def test_buchberger_matches_criterion_free_oracle(request, scenario, name, l):
     # The packed pair update makes the Monomial one's decisions: same basis,
     # same four counters.
     assert basis == reference_buchberger(gens)
+    assert index_state(basis.leading) == index_state(fresh_index(basis.elements))
     assert check_groebner_spairs(gens) >= 1
 
 
@@ -231,6 +273,7 @@ def test_buchberger_matches_criterion_free_oracle_on_random_ideals(monkeypatch):
             continue
         assert basis.elements == textbook_buchberger(gens), [str(g) for g in gens]
         assert basis == reference_buchberger(gens), [str(g) for g in gens]
+        assert index_state(basis.leading) == index_state(fresh_index(basis.elements))
         if basis.elements:
             check_groebner_spairs(gens)
         compared += 1
@@ -283,7 +326,7 @@ def test_pair_update_on_huge_exponents():
         assert time.perf_counter() - started < 2.0
         assert bases[-1] == reference_buchberger(gens)
     assert max(m.zexp[0] for m in bases[0].leading_monomials()) == n + 1
-    assert bases[1].is_unit_ideal()
+    assert LeftIdeal(weyl).is_unit()
 
 
 def test_pair_update_widens_its_packing(monkeypatch, n3_scenario):
@@ -324,7 +367,7 @@ def test_one_pass_interreduce_matches_the_fixpoint_loop_on_padded_bases(request,
         if not extra.is_zero():
             padded.append(extra.monic())
     rng.shuffle(padded)
-    assert _interreduce(padded) == fixpoint_interreduce(padded) == basis
+    assert _interreduce(padded)[0] == fixpoint_interreduce(padded) == basis
 
 
 @pytest.mark.parametrize("kind", [WeylElement, Poly])
@@ -337,7 +380,7 @@ def test_one_pass_interreduce_matches_the_fixpoint_loop_on_random_lists(kind):
             for _ in range(rng.randint(1, 6))
         ]
         elements = [g.monic() for g in elements if not g.is_zero()]
-        assert _interreduce(elements) == fixpoint_interreduce(elements), [str(g) for g in elements]
+        assert _interreduce(elements)[0] == fixpoint_interreduce(elements), [str(g) for g in elements]
 
 
 def test_pair_limit_rejects_garbage(monkeypatch):
@@ -444,16 +487,17 @@ def test_heap_key_sorts_opposite_to_the_order_key():
     assert len({DEFAULT_ORDER.heap_key(m) for m in monomials}) == len(monomials)
 
 
-def test_groebner_basis_reduce_matches_oracle_and_checks_its_input(n2_scenario):
-    basis = n2_scenario.ideal("I1l", {"l": 2}).groebner_basis()
+def test_ideal_reduce_matches_oracle_and_checks_its_input(n2_scenario):
+    ideal = n2_scenario.ideal("I1l", {"l": 2})
+    basis = ideal.groebner_basis()
     rng = random.Random("weylkit-division-oracle:groebner-basis")
     for x in _division_queries(rng, list(basis.elements), WeylElement, 8):
-        assert basis.reduce(x, track=True) == naive_reduce(x, list(basis.elements))
-        assert basis.reduce(x) == reduce_element(x, basis.elements)
+        assert ideal.reduce(x, track=True) == naive_reduce(x, list(basis.elements))
+        assert ideal.reduce(x) == reduce_element(x, basis.elements)
     with pytest.raises(TypeError, match="mixed element types"):
-        basis.reduce(Poly.zero(4))
+        ideal.reduce(Poly.zero(4))
     with pytest.raises(ValueError, match="ambient mismatch"):
-        basis.reduce(z(1, 3))
+        ideal.reduce(z(1, 3))
     with pytest.raises(TypeError, match="mixed element types"):
         reduce_element(Poly.zero(4), basis.elements)
     with pytest.raises(ValueError, match="ambient mismatch"):
