@@ -37,7 +37,6 @@ from .groebner import (
     PairLimitExceeded,
     buchberger,
     ideal_contains,
-    module_multiply_ideal,
     reduce_element,
     s_polynomial,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "krull_dimension",
     "lagrange_projector",
     "load_scenario",
-    "module_multiply_ideal",
     "multiplicity",
     "ParseError",
     "parse_expression",

@@ -15,16 +15,16 @@ from dataclasses import dataclass
 
 from .groebner import GroebnerBasis, LeftIdeal, _ideal_from_reduced_basis
 from .poly import Poly, poly_z, poly_zeta
-from .weyl import principal_symbol
+from .weyl import WeylElement, principal_symbol
 
 
 def _require_operator(ideal: LeftIdeal) -> None:
-    if ideal.mode != "weyl":
+    if not isinstance(ideal.generators[0], WeylElement):
         raise TypeError("expected an ideal of operators")
 
 
 def _require_symbol(ideal: LeftIdeal) -> None:
-    if ideal.mode != "commutative":
+    if not isinstance(ideal.generators[0], Poly):
         raise TypeError("expected an ideal of symbol polynomials")
 
 
@@ -247,16 +247,11 @@ class HolonomicityCertificate:
     settle is "undetermined".
     """
 
-    ambient: int
     dimension: int
     multiplicity: int
     verdict: str
     simple: str
     vanishing: tuple[str, ...] | None
-
-    @property
-    def holonomic(self) -> bool:
-        return self.verdict == "holonomic"
 
     def describe(self) -> str:
         parts = [f"dim {self.dimension}", f"mult {self.multiplicity}"]
@@ -327,10 +322,10 @@ def simplicity_certificate(ideal: LeftIdeal) -> HolonomicityCertificate:
     _assert_bernstein(dim, m)
     mult = multiplicity(graded)
     if dim != m:
-        return HolonomicityCertificate(m, dim, mult, "non-holonomic", "no", None)
+        return HolonomicityCertificate(dim, mult, "non-holonomic", "no", None)
     if mult != 1:
-        return HolonomicityCertificate(m, dim, mult, "holonomic", "undetermined", None)
+        return HolonomicityCertificate(dim, mult, "holonomic", "undetermined", None)
     vanishing = _conormal_vanishing(graded, independent)
     if vanishing is None:
-        return HolonomicityCertificate(m, dim, mult, "holonomic", "undetermined", None)
-    return HolonomicityCertificate(m, dim, mult, "holonomic", "yes", vanishing)
+        return HolonomicityCertificate(dim, mult, "holonomic", "undetermined", None)
+    return HolonomicityCertificate(dim, mult, "holonomic", "yes", vanishing)

@@ -173,17 +173,6 @@ def delta_to_polynomial(section: DeltaSection) -> Poly:
     return Poly(m, out)
 
 
-def first_non_annihilating(
-    generators: Sequence[WeylElement], section: DeltaSection
-) -> tuple[int, DeltaSection] | None:
-    """1-based index and image of the first generator that fails to kill the section."""
-    for i, g in enumerate(generators, start=1):
-        image = act(g, section)
-        if not image.is_zero():
-            return i, image
-    return None
-
-
 @dataclass(frozen=True)
 class AnnihilatorCertificate:
     """Proof sketch that an ideal is the exact annihilator of a section.
@@ -203,9 +192,9 @@ class AnnihilatorCertificate:
 def certify_annihilator(ideal: LeftIdeal, section: DeltaSection) -> AnnihilatorCertificate:
     if section.is_zero():
         return AnnihilatorCertificate(False, "section_nonzero", None, None)
-    failure = first_non_annihilating(ideal.generators, section)
-    if failure is not None:
-        return AnnihilatorCertificate(False, "generators_annihilate", failure[0], None)
+    for index, generator in enumerate(ideal.generators, start=1):
+        if not act(generator, section).is_zero():
+            return AnnihilatorCertificate(False, "generators_annihilate", index, None)
     cert = simplicity_certificate(ideal)
     if cert.simple != "yes":
         return AnnihilatorCertificate(False, "simplicity", None, cert)
@@ -223,18 +212,14 @@ def lagrange_projector(euler: WeylElement, level: int, lmax: int) -> WeylElement
     return out
 
 
-def interpolation_lift(
-    targets: Sequence[tuple[int, WeylElement]],
-    lmax: int,
-    euler: WeylElement | None = None,
-) -> WeylElement:
+def interpolation_lift(targets: Sequence[tuple[int, WeylElement]], lmax: int) -> WeylElement:
     """Single operator agreeing with each target at its level.
 
     Builds sum of P_l times the projector at l, a polynomial in the
-    Euler-type operator (default z1 d1) vanishing at every other integer
-    level up to lmax.  Whenever an ideal contains euler - l, the difference
-    between the lift and P_l is a left multiple of euler - l, hence lies in
-    the ideal; that is the congruence the callers verify.
+    Euler-type operator z1 d1 vanishing at every other integer level up to
+    lmax.  Whenever an ideal contains z1 d1 - l, the difference between the
+    lift and P_l is a left multiple of z1 d1 - l, hence lies in the ideal;
+    that is the congruence the callers verify.
     """
     if not targets:
         raise ValueError("need at least one target")
@@ -243,12 +228,10 @@ def interpolation_lift(
         raise ValueError("levels must be distinct")
     if any(not 0 <= level <= lmax for level in levels):
         raise ValueError(f"levels must lie in 0..{lmax}")
-    if euler is None:
-        ambient = targets[0][1].ambient
-        euler = WeylElement.from_monomial(
-            Monomial((1,) + (0,) * (ambient - 1), (1,) + (0,) * (ambient - 1))
-        )
-    total = WeylElement.zero(euler.ambient)
+    ambient = targets[0][1].ambient
+    first = (1,) + (0,) * (ambient - 1)
+    euler = WeylElement.from_monomial(Monomial(first, first))
+    total = WeylElement.zero(ambient)
     for level, element in targets:
         total = total + element * lagrange_projector(euler, level, lmax)
     return total

@@ -489,10 +489,6 @@ class LeftIdeal:
     def ambient(self) -> int:
         return self._ambient
 
-    @property
-    def mode(self) -> str:
-        return "commutative" if issubclass(self._kind, Poly) else "weyl"
-
     def groebner_basis(self) -> GroebnerBasis:
         if self._basis is None:
             self._basis = buchberger(self._generators)
@@ -511,9 +507,6 @@ class LeftIdeal:
     def is_unit(self) -> bool:
         return any(lm.is_unit() for lm in self.groebner_basis().leading.monomials)
 
-    def is_zero(self) -> bool:
-        return not self.groebner_basis().elements
-
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self._generators)
         return f"LeftIdeal[{gens}]"
@@ -522,16 +515,3 @@ class LeftIdeal:
 def ideal_contains(outer: LeftIdeal, inner: LeftIdeal) -> bool:
     """Whether every generator of ``inner`` lies in ``outer``."""
     return all(outer.contains(g) for g in inner.generators)
-
-
-def module_multiply_ideal(ideal: LeftIdeal, factor: SparseElement) -> list[SparseElement]:
-    """Right-multiply every generator: the generators of the module I * factor.
-
-    Right multiplication is not an ideal operation on the left ideal, so the
-    result is returned as a plain generator list; containment of I * factor in
-    another left ideal J means every listed product lies in J.
-    """
-    if factor.ambient != ideal.ambient:
-        raise ValueError("ambient mismatch in module product")
-    return [g * factor for g in ideal.generators]
-

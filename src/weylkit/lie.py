@@ -193,12 +193,6 @@ class Character:
         if len(self.values) != self.algebra.dimension:
             raise ValueError("one value per basis element required")
 
-    def value(self, mat: Matrix) -> Fraction:
-        coords = self.algebra.coordinates(mat)
-        if coords is None:
-            raise ValueError("matrix lies outside the subalgebra")
-        return sum((c * v for c, v in zip(coords, self.values)), Fraction(0))
-
     def vanishes_on_brackets(self) -> bool:
         """A character must kill [x, y]: sum_k c_ij^k chi_k = 0 on all basis pairs."""
         for constants in self.algebra._structure_constants().values():

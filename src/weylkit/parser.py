@@ -23,6 +23,7 @@ from .poly import Poly, poly_z, poly_zeta
 from .weyl import WeylElement, d, z
 
 MAX_EXPONENT = 10**6
+MAX_AMBIENT = 1000  # variables per ring; the paper's scenarios use 4 and 6
 MAX_NESTING = 200  # parentheses; Python's parser puts the same bound on read_arithmetic
 # Longest text read_arithmetic takes: Python 3.10 overflows its C stack on a 120,000-term sum.
 MAX_ARITHMETIC_LENGTH = 1000
@@ -82,6 +83,18 @@ class _Token:
 
 
 _SYMBOLS = set("+-*/^()")
+_DIGITS = set("0123456789")  # str.isdigit also takes '²' and '١'
+
+
+def _number(text: str, start: int) -> tuple[int, int]:
+    """The value of the digit run at ``start`` and the position just past it."""
+    end = start
+    while end < len(text) and text[end] in _DIGITS:
+        end += 1
+    try:
+        return int(text[start:end]), end
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(f"a number of {end - start} digits is too long", start) from None
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -96,11 +109,10 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(ch, i))
             i += 1
             continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("num", start, value=int(text[start:i])))
+        if ch in _DIGITS:
+            value, end = _number(text, i)
+            tokens.append(_Token("num", i, value=value))
+            i = end
             continue
         if ch.isalpha():
             start = i
@@ -109,15 +121,13 @@ def _tokenize(text: str) -> list[_Token]:
             name = text[start:i]
             if name not in ("z", "d", "zeta"):
                 raise ParseError(f"unknown name {name!r}", start)
-            if i >= n or not text[i].isdigit():
+            if i >= n or text[i] not in _DIGITS:
                 raise ParseError(f"expected variable index after {name!r}", i)
-            digits_start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            index = int(text[digits_start:i])
-            if index < 1:
-                raise ParseError(f"variable index must be positive, got {index}", digits_start)
+            index, end = _number(text, i)
+            if not 1 <= index <= MAX_AMBIENT:
+                raise ParseError(f"variable index {index} out of range 1..{MAX_AMBIENT}", i)
             tokens.append(_Token("gen", start, name=name, index=index))
+            i = end
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
     return tokens
@@ -253,8 +263,8 @@ def _prepare(text: str, ambient: int | None) -> tuple[list[_Token], int]:
         raise ParseError("empty expression", 0)
     if ambient is None:
         ambient = max((t.index for t in tokens if t.kind == "gen"), default=0)
-    elif ambient < 0:
-        raise ValueError("ambient must be nonnegative")
+    elif not 0 <= ambient <= MAX_AMBIENT:
+        raise ParseError(f"ambient {ambient} outside 0..{MAX_AMBIENT}")
     return tokens, ambient
 
 

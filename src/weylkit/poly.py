@@ -31,31 +31,6 @@ class Poly(SparseElement):
     def __repr__(self) -> str:
         return f"Poly({self.ambient}, {self!s})"
 
-    def derivative(self, kind: str, index: int) -> "Poly":
-        """Formal partial derivative with respect to z_index or zeta_index."""
-        if kind not in ("z", "zeta"):
-            raise ValueError(f"unknown variable kind {kind!r}")
-        if not 1 <= index <= self.ambient:
-            raise ValueError(
-                f"variable index {index} out of range 1..{self.ambient}"
-            )
-        slot = index - 1
-        out: dict[Monomial, Scalar] = {}
-        for mono, coeff in self:
-            exps = mono.zexp if kind == "z" else mono.dexp
-            e = exps[slot]
-            if e == 0:
-                continue
-            lowered = list(exps)
-            lowered[slot] = e - 1
-            if kind == "z":
-                new = Monomial(tuple(lowered), mono.dexp)
-            else:
-                new = Monomial(mono.zexp, tuple(lowered))
-            # Lowering one exponent is injective, so no two terms meet here.
-            out[new] = coeff * e
-        return Poly(self.ambient, out)
-
 
 def poly_z(i: int, ambient: int, power: int = 1) -> Poly:
     return Poly.from_monomial(z_monomial(i, ambient, power))

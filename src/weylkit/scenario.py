@@ -37,7 +37,7 @@ from .lie import (
     parse_matrix_expr,
     rho,
 )
-from .parser import parse_expression, parse_polynomial, read_arithmetic
+from .parser import MAX_AMBIENT, parse_expression, parse_polynomial, read_arithmetic
 from .poly import Poly
 from .weyl import WeylElement
 
@@ -120,6 +120,27 @@ CHECK_SCHEMAS: dict[str, dict[str, str]] = {
     "variety_stable": {"algebra": "algebra", "chart": "chart"},
     "tangent_rank": {"algebra": "algebra", "point": "point"},
 }
+
+# The ``expect`` a check kind reads: its JSON type, its value when omitted
+# (None: required) and how messages describe it.  Kinds not listed read no
+# ``expect`` and refuse one.
+_BOOL_EXPECT = (bool, True, "a JSON boolean")
+EXPECT_TYPES: dict[str, tuple[type, Any, str]] = {
+    "membership": _BOOL_EXPECT,
+    "ideal_contains": _BOOL_EXPECT,
+    "unit_ideal": _BOOL_EXPECT,
+    "is_subalgebra": _BOOL_EXPECT,
+    "character_valid": _BOOL_EXPECT,
+    "kernel_element": _BOOL_EXPECT,
+    "variety_stable": _BOOL_EXPECT,
+    "tangent_rank": (int, None, "an integer"),
+    "simplicity": (
+        dict,
+        {"verdict": "holonomic", "simple": "yes"},
+        "an object with some of dimension, multiplicity (integers), verdict and simple (strings)",
+    ),
+}
+_CERTIFICATE_FIELDS = {"dimension": int, "multiplicity": int, "verdict": str, "simple": str}
 
 # The scenario tables, keyed by the Scenario method that resolves one entry.
 # A check field whose type is one of these keys names an entry of that table.
@@ -212,8 +233,8 @@ class Scenario:
             raise ScenarioError(f"{self.source}: missing scenario name")
         ambient = raw.get("ambient")
         # JSON true and false are Python bools, which isinstance counts as int.
-        if type(ambient) is not int or ambient < 1:
-            raise ScenarioError(f"{name}: ambient must be a positive integer")
+        if type(ambient) is not int or not 1 <= ambient <= MAX_AMBIENT:
+            raise ScenarioError(f"{name}: ambient must be a positive integer up to {MAX_AMBIENT}")
         support = raw.get("delta_module", [])
         if not isinstance(support, list) or not all(
             type(i) is int and 1 <= i <= ambient for i in support
@@ -230,7 +251,7 @@ class Scenario:
         kind = raw.get("kind")
         if not isinstance(cid, str) or not cid:
             raise ScenarioError(f"{self.name}: check without an id")
-        if kind not in CHECK_SCHEMAS:
+        if not isinstance(kind, str) or kind not in CHECK_SCHEMAS:
             raise ScenarioError(f"{self.name}: check {cid!r} has unknown kind {kind!r}")
         provenance = raw.get("provenance")
         if provenance not in PROVENANCE_TAGS:
@@ -263,11 +284,31 @@ class Scenario:
             kind=kind,
             provenance=provenance,
             anchor=anchor,
-            expect=raw.get("expect"),
+            expect=self._expect(cid, kind, raw),
             params=params,
             foreach=foreach,
             note=raw.get("note"),
         )
+
+    def _expect(self, cid: str, kind: str, raw: Mapping[str, Any]) -> Any:
+        """The check's ``expect``, of the type ``EXPECT_TYPES`` gives, or its default."""
+        where = f"{self.name}: check {cid!r} expect"
+        if kind not in EXPECT_TYPES:
+            if "expect" in raw:
+                raise ScenarioError(f"{where}: kind {kind!r} reads no expect")
+            return None
+        want, default, description = EXPECT_TYPES[kind]
+        if "expect" not in raw:
+            if default is None:
+                raise ScenarioError(f"{where} is required for kind {kind!r}")
+            return default
+        value = raw["expect"]
+        # type(), not isinstance(): a JSON true is no integer here.
+        if type(value) is not want or want is dict and not (
+            value and all(type(v) is _CERTIFICATE_FIELDS.get(k) for k, v in value.items())
+        ):
+            raise ScenarioError(f"{where} must be {description}")
+        return value
 
     def _validate_references(self) -> None:
         ids = [c.id for c in self.checks]
@@ -308,6 +349,10 @@ class Scenario:
             for entry in value:
                 if not isinstance(entry, dict) or "level" not in entry or "element" not in entry:
                     raise fail("each target needs level and element")
+                if type(entry["level"]) is not int:
+                    raise fail("target level must be an integer")
+                if not isinstance(entry["element"], str):
+                    raise fail("target element must be an expression string")
         elif ftype == "int":
             if type(value) is not int:
                 raise fail("must be an integer")
@@ -320,6 +365,12 @@ class Scenario:
             for entry in value:
                 if not isinstance(entry, dict) or "factors" not in entry:
                     raise fail("each term needs a factors list")
+                if not isinstance(entry["factors"], list) or not all(
+                    isinstance(factor, str) for factor in entry["factors"]
+                ):
+                    raise fail("factors must be a list of matrix expressions")
+                if type(entry.get("coeff", 1)) is not int:
+                    raise fail("coeff must be an integer")
 
     def _read_bindings(self) -> dict[tuple[str, str], list[dict[str, int]]]:
         """The scopes under which the checks read each table entry, by (kind,
@@ -336,7 +387,7 @@ class Scenario:
                         refs = [("section", ref, scope) for ref in value]
                     elif ftype == "ideal_family":
                         levels = [t["level"] for t in check.params["targets"]]
-                        refs = [("ideal", value, {**scope, "l": v}) for v in levels if type(v) is int]
+                        refs = [("ideal", value, {**scope, "l": v}) for v in levels]
                     elif ftype in _TABLES:
                         refs = [(ftype, value, scope)]
                     else:

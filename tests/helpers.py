@@ -6,7 +6,7 @@ The oracles deliberately avoid the engine's closed-form algorithms:
 * Hilbert data is recomputed by brute-force counting of standard monomials
   and by the recursion on the largest generator,
 * independent slot sets are recomputed by trying every subset of the slots,
-* the action on polynomials is recomputed with ``Poly.derivative`` and
+* the action on polynomials is recomputed with a formal z-derivative and
   multiplication,
 * left division is recomputed by the textbook loop that rescans for the
   leading term and rebuilds the element after every step,
@@ -579,6 +579,19 @@ def check_fourier_involution(seed: str, ambient: int = 3, rounds: int = 40) -> i
 # -- Polynomial action by calculus -------------------------------------------
 
 
+def z_derivative(polynomial: Poly, index: int) -> Poly:
+    """Formal partial derivative of a polynomial with respect to z_index."""
+    slot = index - 1
+    out = {}
+    for mono, coeff in polynomial:
+        e = mono.zexp[slot]
+        if e:
+            lowered = mono.zexp[:slot] + (e - 1,) + mono.zexp[slot + 1 :]
+            # Lowering one exponent is injective, so no two terms meet here.
+            out[Monomial(lowered, mono.dexp)] = coeff * e
+    return Poly(polynomial.ambient, out)
+
+
 def act_by_calculus(op: WeylElement, polynomial: Poly) -> Poly:
     """Apply a normally ordered operator term by term: each d_i differentiates
     in z_i, then the z part multiplies."""
@@ -588,7 +601,7 @@ def act_by_calculus(op: WeylElement, polynomial: Poly) -> Poly:
         image = polynomial
         for i, b in enumerate(mono.dexp, start=1):
             for _ in range(b):
-                image = image.derivative("z", i)
+                image = z_derivative(image, i)
         total = total + image * Poly.from_monomial(Monomial(mono.zexp, (0,) * m), coeff)
     return total
 

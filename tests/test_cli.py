@@ -275,6 +275,20 @@ def test_deep_parentheses_are_a_named_error():
     assert "Traceback" not in done.stdout + done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("normalize", "z1^²"), "unexpected character '²' (position 3)"),
+        (("normalize", "z1", "--ambient", str(10**20)), f"ambient {10**20} outside 0..1000"),
+    ],
+)
+def test_non_ascii_digits_and_huge_ambients_are_named_errors(argv, message):
+    done = run_module(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: {message}\n"
+
+
 def test_python_dash_m_runs_the_cli():
     done = run_module("normalize", "d1*z1")
     assert done.returncode == 0, done.stderr

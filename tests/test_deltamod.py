@@ -20,7 +20,6 @@ from weylkit import (
     reduce_element,
     section_from_operator,
 )
-from weylkit.deltamod import first_non_annihilating
 from weylkit.weyl import WeylElement
 
 MODULE = DeltaModule(4, frozenset({2, 4}))
@@ -88,19 +87,18 @@ def test_annihilator_generators_kill_sections():
     for l in range(4):
         section = t_section(l)
         assert not section.is_zero()
-        assert first_non_annihilating(i1l(l).generators, section) is None
+        assert all(act(g, section).is_zero() for g in i1l(l).generators)
         if l:
-            assert first_non_annihilating(i1l(l - 1).generators, section) is not None
+            assert not all(act(g, section).is_zero() for g in i1l(l - 1).generators)
 
 
 def test_first_non_annihilating_reports_witness():
     base = delta(MODULE)
-    hit = first_non_annihilating([op("d3"), op("z1")], base)
-    assert hit is not None
-    index, image = hit
-    assert index == 2  # positions are 1-based
-    assert not image.is_zero()
-    assert first_non_annihilating([op("d3"), op("z4")], base) is None
+    cert = certify_annihilator(ideal("d3", "z1"), base)
+    assert cert.failing == "generators_annihilate"
+    assert cert.witness == 2  # positions are 1-based
+    assert not act(op("z1"), base).is_zero()
+    assert certify_annihilator(ideal("d3", "z4"), base).failing != "generators_annihilate"
 
 
 def test_dictionary_image_of_sections():
@@ -188,7 +186,7 @@ def test_certify_annihilator_rejects_proper_subideal():
     # whole annihilator: its module is not simple.
     short = ideal("z1*d1 + z2*d2 + 1", "d3", "z4")
     cert = certify_annihilator(short, delta(MODULE))
-    assert first_non_annihilating(short.generators, delta(MODULE)) is None
+    assert all(act(g, delta(MODULE)).is_zero() for g in short.generators)
     assert not cert.verified
     assert cert.failing == "simplicity"
 

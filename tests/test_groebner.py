@@ -24,12 +24,12 @@ from weylkit import (
     PairLimitExceeded,
     buchberger,
     ideal_contains,
-    module_multiply_ideal,
     parse_expression,
     reduce_element,
+    run_scenario,
     s_polynomial,
 )
-from weylkit import groebner
+from weylkit import Scenario, groebner
 from weylkit.charvar import graded_ideal
 from weylkit.groebner import _LeadingTerms, _PackedExponents, _interreduce
 from weylkit.monomial import z_monomial
@@ -143,7 +143,7 @@ def test_unit_ideal_detection():
 
 def test_zero_and_constant_generators():
     zero_ideal = LeftIdeal([WeylElement.zero(2)])
-    assert zero_ideal.is_zero()
+    assert zero_ideal.groebner_basis().elements == ()
     assert not zero_ideal.contains(WeylElement.one(2))
     assert LeftIdeal([WeylElement.constant(7, 2)]).is_unit()
     x = parse_expression("z1*d2 + 3*d1", ambient=2)
@@ -197,9 +197,22 @@ def test_ideal_contains_and_equal():
 
 
 def test_module_multiply_right_factor():
-    # Generators of I3 * z4, as a left module: each row is g * z4.
-    rows = module_multiply_ideal(I3, z(4, 4))
-    assert rows == [g * z(4, 4) for g in I3.generators]
+    # The left module I3 * f is generated by the products g * f.  z4 commutes
+    # with every generator, so I3 * z4 lies in I3; z4 * d4 = d4 * z4 - 1 does not.
+    generators = [str(g) for g in I3.generators]
+    check = {"kind": "module_multiply", "provenance": "TRIVIAL", "ideal": "I3", "inside": "I3"}
+    raw = {
+        "name": "unit",
+        "ambient": 4,
+        "ideals": {"I3": {"generators": generators}},
+        "checks": [{**check, "id": f"by-{f}", "factor": f} for f in ("z4", "d4")],
+    }
+    outside, inside = run_scenario(Scenario(raw))["checks"]  # sorted by id
+    assert (inside["verdict"], inside["witness"]["products"]) == ("pass", 3)
+    assert outside["verdict"] == "fail"
+    assert outside["witness"]["index"] == 3
+    assert outside["witness"]["product"] == str(I3.generators[2] * d(4, 4))
+    assert outside["witness"]["normal_form"] == "-1"
 
 
 def test_pair_limit_env(monkeypatch):

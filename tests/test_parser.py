@@ -1,13 +1,14 @@
 """Expression grammar: operators, polynomials, errors, and round-trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from helpers import random_element
 from weylkit import ParseError, parse_expression, parse_polynomial
-from weylkit.parser import MAX_EXPONENT, MAX_NESTING
+from weylkit.parser import MAX_AMBIENT, MAX_EXPONENT, MAX_NESTING
 from weylkit.poly import poly_z, poly_zeta
 from weylkit.weyl import WeylElement, d, z
 
@@ -53,6 +54,12 @@ def test_ambient_inference_from_largest_index():
 def test_explicit_ambient_must_cover_indices():
     with pytest.raises(ParseError):
         parse_expression("z5", ambient=2)
+    # Explicit and inferred ambients are bounded before a monomial is built.
+    with pytest.raises(ParseError, match=f"outside 0..{MAX_AMBIENT}"):
+        parse_expression("z1", ambient=2**70)
+    too_far = rf"index {MAX_AMBIENT + 1} out of range 1..{MAX_AMBIENT} \(position 1\)"
+    with pytest.raises(ParseError, match=too_far):
+        parse_polynomial(f"z{MAX_AMBIENT + 1}")
 
 
 def test_zero_index_rejected():
@@ -71,6 +78,18 @@ def test_error_positions_and_garbage():
         parse_expression("q1", ambient=1)
     with pytest.raises(ParseError):
         parse_expression("(z1", ambient=1)
+    # Digits are ASCII: str.isdigit() also takes superscripts and other scripts.
+    with pytest.raises(ParseError, match=r"unexpected character '²' \(position 3\)"):
+        parse_expression("z1^²", ambient=1)
+    with pytest.raises(ParseError, match=r"expected variable index after 'z' \(position 1\)"):
+        parse_expression("z١", ambient=1)
+    with pytest.raises(ParseError, match=r"unexpected character '٣' \(position 0\)"):
+        parse_expression("٣*z1", ambient=1)
+    # Python 3.10.7 and later refuse int() of more digits than a set limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        with pytest.raises(ParseError, match=rf"{limit + 1} digits is too long \(position 3\)"):
+            parse_expression("z1+" + "7" * (limit + 1), ambient=1)
 
 
 def test_exponent_cap():

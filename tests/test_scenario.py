@@ -291,6 +291,103 @@ MALFORMED = {
         {"sections": {"T": "(" * 400 + "z1" + ")" * 400}},
         "section 'T': parentheses nested deeper than 200",
     ),
+    # An ambient is bounded before anything of its size is built.
+    "ambient-huge": ({"ambient": 2**70}, "ambient must be a positive integer up to 1000"),
+    "kind-list": ({"checks": [check(kind=[1])]}, "check 'c1' has unknown kind"),
+    # ``expect`` is typed by kind: "false" is a string, not a JSON false.
+    "expect-string-bool": (
+        {"ideals": {"J": {"generators": ["z1"]}}, "checks": [check(expect="false")]},
+        "check 'c1' expect must be a JSON boolean",
+    ),
+    "expect-int-bool": (
+        {"ideals": {"J": {"generators": ["z1"]}}, "checks": [check(expect=0)]},
+        "check 'c1' expect must be a JSON boolean",
+    ),
+    "expect-simplicity-string": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "checks": [check(kind="simplicity", expect="yes")],
+        },
+        "check 'c1' expect must be an object with some of dimension, multiplicity",
+    ),
+    "expect-simplicity-field": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "checks": [check(kind="simplicity", expect={"dimension": "2"})],
+        },
+        "check 'c1' expect must be an object with some of dimension, multiplicity",
+    ),
+    "expect-simplicity-key": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "checks": [check(kind="simplicity", expect={"holonomic": True})],
+        },
+        "check 'c1' expect must be an object with some of dimension, multiplicity",
+    ),
+    "expect-rank-string": (
+        {
+            "subalgebras": {"b": {"basis": ["E11"]}},
+            "points": {"p": [1, 0]},
+            "checks": [check(kind="tangent_rank", algebra="b", point="p", expect="x")],
+        },
+        "check 'c1' expect must be an integer",
+    ),
+    "expect-rank-bool": (
+        {
+            "subalgebras": {"b": {"basis": ["E11"]}},
+            "points": {"p": [1, 0]},
+            "checks": [check(kind="tangent_rank", algebra="b", point="p", expect=True)],
+        },
+        "check 'c1' expect must be an integer",
+    ),
+    "expect-rank-missing": (
+        {
+            "subalgebras": {"b": {"basis": ["E11"]}},
+            "points": {"p": [1, 0]},
+            "checks": [check(kind="tangent_rank", algebra="b", point="p")],
+        },
+        "check 'c1' expect is required for kind 'tangent_rank'",
+    ),
+    "expect-unread": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "sections": {"T": "1"},
+            "checks": [check(kind="annihilates", section="T", expect=False)],
+        },
+        "check 'c1' expect: kind 'annihilates' reads no expect",
+    ),
+    "kernel-coeff-string": (
+        {"checks": [check(kind="kernel_element", terms=[{"coeff": "x", "factors": ["E11"]}])]},
+        "check 'c1', field 'terms': coeff must be an integer",
+    ),
+    "kernel-coeff-bool": (
+        {"checks": [check(kind="kernel_element", terms=[{"coeff": True, "factors": ["E11"]}])]},
+        "check 'c1', field 'terms': coeff must be an integer",
+    ),
+    "kernel-factors-int": (
+        {"checks": [check(kind="kernel_element", terms=[{"factors": 3}])]},
+        "check 'c1', field 'terms': factors must be a list of matrix expressions",
+    ),
+    "kernel-factor-int": (
+        {"checks": [check(kind="kernel_element", terms=[{"factors": [3]}])]},
+        "check 'c1', field 'terms': factors must be a list of matrix expressions",
+    ),
+    "target-level-string": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "checks": [
+                check(kind="interpolation", targets=[{"level": "1", "element": "1"}], lmax=1)
+            ],
+        },
+        "check 'c1', field 'targets': target level must be an integer",
+    ),
+    "target-element-int": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "checks": [check(kind="interpolation", targets=[{"level": 0, "element": 1}], lmax=1)],
+        },
+        "check 'c1', field 'targets': target element must be an expression string",
+    ),
 }
 
 
