@@ -25,7 +25,7 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .monomial import Monomial, unit_monomial
+from .monomial import Monomial, _check_ambient, unit_monomial
 from .orders import DEFAULT_ORDER
 
 Scalar = int | Fraction
@@ -65,8 +65,7 @@ class SparseElement:
     __slots__ = ("_ambient", "_terms", "_lead")
 
     def __init__(self, ambient: int, terms: Mapping[Monomial, Scalar] | Iterable = ()):
-        if ambient < 0:
-            raise ValueError("ambient must be nonnegative")
+        _check_ambient(ambient)
         items = terms.items() if isinstance(terms, Mapping) else terms
         nonzero = []
         for mono, coeff in items:

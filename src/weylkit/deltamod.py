@@ -18,7 +18,7 @@ from typing import Sequence
 from .base import Scalar, _accumulate, format_terms
 from .charvar import HolonomicityCertificate, simplicity_certificate
 from .groebner import LeftIdeal
-from .monomial import Monomial
+from .monomial import Monomial, _check_ambient, _check_index
 from .poly import Poly
 from .weyl import WeylElement
 
@@ -31,9 +31,9 @@ class DeltaModule:
     support: frozenset[int]
 
     def __post_init__(self):
+        _check_ambient(self.ambient)
         for i in self.support:
-            if not 1 <= i <= self.ambient:
-                raise ValueError(f"variable index {i} out of range 1..{self.ambient}")
+            _check_index(i, self.ambient)
 
 
 class DeltaSection:
@@ -65,17 +65,6 @@ class DeltaSection:
         if not isinstance(other, DeltaSection):
             return NotImplemented
         return self.module == other.module and self._data == other._data
-
-    def __add__(self, other: "DeltaSection") -> "DeltaSection":
-        if self.module != other.module:
-            raise ValueError("sections live in different modules")
-        return DeltaSection(self.module, self._data + other._data)
-
-    def __sub__(self, other: "DeltaSection") -> "DeltaSection":
-        return self + other.scaled(-1)
-
-    def scaled(self, value: Scalar) -> "DeltaSection":
-        return DeltaSection(self.module, self._data.scaled(value))
 
     def __str__(self) -> str:
         if self.is_zero():

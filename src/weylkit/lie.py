@@ -169,9 +169,6 @@ class LieSubalgebra:
                 return i + 1, j + 1
         return None
 
-    def is_subalgebra(self) -> bool:
-        return self.bracket_defect() is None
-
 
 def conjugate_subalgebra(conjugator: Matrix, algebra: LieSubalgebra) -> LieSubalgebra:
     """Subalgebra with basis c x c^-1 for x in the given basis."""

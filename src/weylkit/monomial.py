@@ -11,6 +11,8 @@ from __future__ import annotations
 from operator import add, sub
 from typing import NamedTuple
 
+MAX_AMBIENT = 1000  # variables per ring; the paper's scenarios use 4 and 6
+
 
 class Monomial(NamedTuple):
     zexp: tuple[int, ...]
@@ -61,6 +63,7 @@ class Monomial(NamedTuple):
 
 
 def unit_monomial(ambient: int) -> Monomial:
+    _check_ambient(ambient)
     return Monomial((0,) * ambient, (0,) * ambient)
 
 
@@ -78,6 +81,13 @@ def d_monomial(index: int, ambient: int, power: int = 1) -> Monomial:
     return Monomial((0,) * ambient, tuple(dexp))
 
 
+def _check_ambient(ambient: int) -> None:
+    """Refuse an ambient before anything of its size is built."""
+    if not 0 <= ambient <= MAX_AMBIENT:
+        raise ValueError(f"ambient {ambient} outside 0..{MAX_AMBIENT}")
+
+
 def _check_index(index: int, ambient: int) -> None:
+    _check_ambient(ambient)
     if not 1 <= index <= ambient:
         raise ValueError(f"variable index {index} out of range 1..{ambient}")

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .base import Scalar, _exact_quotient
+from .monomial import MAX_AMBIENT
 from .poly import Poly, poly_z, poly_zeta
 from .weyl import WeylElement, d, z
 
 MAX_EXPONENT = 10**6
-MAX_AMBIENT = 1000  # variables per ring; the paper's scenarios use 4 and 6
 MAX_NESTING = 200  # parentheses; Python's parser puts the same bound on read_arithmetic
 # Longest text read_arithmetic takes: Python 3.10 overflows its C stack on a 120,000-term sum.
 MAX_ARITHMETIC_LENGTH = 1000

@@ -8,9 +8,10 @@ inside them are integer templates filled in from the active parameter scope
 (for example a ``foreach`` parameter l), so one ideal definition covers a
 whole parameter family.
 
-Loading validates every table entry by resolving it: once under each binding
-of its parameters that the checks' ``foreach`` lists give.  What load builds
-stays cached, so the checks read it at run time without parsing again.
+Loading validates every table entry by resolving it under each binding that
+the run's lookup gives the checks' references to it, or, for an entry no
+check reads, under the values the checks' ``foreach`` lists give.  What load
+builds stays cached, so the checks read it at run time without parsing again.
 """
 
 from __future__ import annotations
@@ -207,19 +208,21 @@ class Scenario:
         self._entries: dict[tuple[str, str], tuple[Any, frozenset[str]]] = {}
         self._cache: dict[tuple, Any] = {}
         self._validate_references()
-        # Validating an entry is resolving it, under each binding of the
-        # variables it uses that a check reads; what load builds stays cached
-        # for the run.
-        read = self._read_bindings()
+        # Validating an entry is resolving it: under each binding with which
+        # the run's lookup reads it, or under _sample_scopes when no check
+        # reads it.  What load builds stays cached for the run.
+        read: set[tuple] = set()
+        for check in self.checks:
+            for _, scope in check.instances():
+                for kind, ref, outer in self._references(check, scope):
+                    try:
+                        read.add(self._lookup(kind, ref, outer)[0])
+                    except ScenarioError:
+                        pass  # left for the check's error record
         for kind, table in _TABLES.items():
             for name in raw.get(table, {}):
-                used = self._entry(kind, name)[1]
-                bindings = {
-                    tuple((k, bound[k]) for k in sorted(used))
-                    for bound in read.get((kind, name), ())
-                    if used <= bound.keys()
-                }
-                for scope in [dict(b) for b in sorted(bindings)] or self._sample_scopes(used):
+                bindings = [dict(b) for k, n, b in sorted(read) if (k, n) == (kind, name)]
+                for scope in bindings or self._sample_scopes(self._entry(kind, name)[1]):
                     getattr(self, kind)(name, scope)
 
     # -- construction and validation --
@@ -258,7 +261,10 @@ class Scenario:
             raise ScenarioError(
                 f"{self.name}: check {cid!r} needs a provenance tag from {PROVENANCE_TAGS}"
             )
-        anchor = raw.get("anchor")
+        anchor, note = raw.get("anchor"), raw.get("note")
+        for field, text in (("anchor", anchor), ("note", note)):
+            if text is not None and not isinstance(text, str):
+                raise ScenarioError(f"{self.name}: check {cid!r} {field} must be a string")
         if provenance == "PAPER" and not anchor:
             raise ScenarioError(f"{self.name}: check {cid!r} is PAPER-tagged but has no anchor")
         foreach_raw = raw.get("foreach", {})
@@ -287,7 +293,7 @@ class Scenario:
             expect=self._expect(cid, kind, raw),
             params=params,
             foreach=foreach,
-            note=raw.get("note"),
+            note=note,
         )
 
     def _expect(self, cid: str, kind: str, raw: Mapping[str, Any]) -> Any:
@@ -334,8 +340,12 @@ class Scenario:
             if name not in self.raw.get(_TABLES[ftype], {}):
                 raise fail(f"unresolved name: no {ftype} called {name!r}")
             for key, bound in value.items() if isinstance(value, dict) else ():
-                if key != "name" and type(bound) is not int and not isinstance(bound, str):
+                if key == "name" or type(bound) is int:
+                    continue
+                if not isinstance(bound, str):
                     raise fail(f"binding {key!r} must be an integer or an integer expression")
+                with self._naming(f"check {check.id!r}, field {field!r}: binding {key!r}", {}):
+                    read_arithmetic(bound, ValueError)
         elif ftype == "ideal_family":
             self._validate_ref(check, field, value, "ideal")
         elif ftype == "section_list":
@@ -372,33 +382,19 @@ class Scenario:
                 if type(entry.get("coeff", 1)) is not int:
                     raise fail("coeff must be an integer")
 
-    def _read_bindings(self) -> dict[tuple[str, str], list[dict[str, int]]]:
-        """The scopes under which the checks read each table entry, by (kind,
-        name), bound as the run binds them: rebindings such as ``{"name":
-        "Iprime", "l": "l+1"}`` apply, and an interpolation's ideal family is
-        read at its targets' levels.  A reference that cannot be bound (an
-        unknown variable, a negative l) is left for its check's record."""
-        read: dict[tuple[str, str], list[dict[str, int]]] = {}
-        for check in self.checks:
-            for _, scope in check.instances():
-                for field, ftype in CHECK_SCHEMAS[check.kind].items():
-                    value = check.params[field]
-                    if ftype == "section_list":
-                        refs = [("section", ref, scope) for ref in value]
-                    elif ftype == "ideal_family":
-                        levels = [t["level"] for t in check.params["targets"]]
-                        refs = [("ideal", value, {**scope, "l": v}) for v in levels]
-                    elif ftype in _TABLES:
-                        refs = [(ftype, value, scope)]
-                    else:
-                        continue
-                    for kind, ref, outer in refs:
-                        try:
-                            name, bound, _ = self._split_ref(kind, ref, outer)
-                        except ScenarioError:
-                            continue
-                        read.setdefault((kind, name), []).append(bound)
-        return read
+    def _references(self, check: CheckSpec, scope: Mapping[str, int]) -> Iterator[tuple]:
+        """(kind, reference, scope) for each table entry the check reads under
+        ``scope``: a section list reads each of its sections, an ideal family
+        its ideal at each target level."""
+        for field, ftype in CHECK_SCHEMAS[check.kind].items():
+            value = check.params[field]
+            if ftype == "section_list":
+                yield from (("section", ref, scope) for ref in value)
+            elif ftype == "ideal_family":
+                for target in check.params["targets"]:
+                    yield "ideal", value, {**scope, "l": target["level"]}
+            elif ftype in _TABLES:
+                yield ftype, value, scope
 
     def _sample_scopes(self, names: frozenset[str]) -> list[dict[str, int]]:
         """Scopes under which load resolves an entry that uses ``names`` and
@@ -543,33 +539,21 @@ class Scenario:
             total = total + product
         return total
 
-    def _split_ref(
-        self, kind: str, ref: Any, scope: Mapping[str, int] | None
-    ) -> tuple[str, dict[str, int], str]:
-        """A reference is a name, or an object binding extra scope variables.
-
-        Returns the name, the checked binding and the entry's label.
-        """
-        scope = scope or {}
-        if isinstance(ref, str):
-            name, bound = ref, dict(scope)
-        elif isinstance(ref, dict) and isinstance(ref.get("name"), str):
-            name, bound = ref["name"], dict(scope)
-            for key, value in ref.items():
-                if key == "name":
-                    continue
-                bound[key] = value if type(value) is int else eval_int_expr(str(value), scope)
-        else:
-            raise ScenarioError(f"{self.name}: malformed reference {ref!r}")
-        label = _label(kind, name)
-        return name, self._checked(label, bound), label
-
     def _lookup(
         self, kind: str, ref: Any, scope: Mapping[str, int] | None
     ) -> tuple[tuple, str, Any, dict[str, int]]:
         """Cache key, label and entry of a reference, with the scope restricted
-        to the variables the entry uses; each of them must be bound."""
-        name, bound, label = self._split_ref(kind, ref, scope)
+        to the variables the entry uses; each of them must be bound.  A
+        reference is a name, or an object binding extra scope variables."""
+        name = ref.get("name") if isinstance(ref, dict) else ref
+        if not isinstance(name, str):
+            raise ScenarioError(f"{self.name}: malformed reference {ref!r}")
+        bound = dict(scope or {})
+        for key, value in ref.items() if isinstance(ref, dict) else ():
+            if key != "name":
+                bound[key] = value if type(value) is int else eval_int_expr(str(value), scope)
+        label = _label(kind, name)
+        self._checked(label, bound)
         spec, used = self._entry(kind, name)
         missing = sorted(used - set(bound))
         if missing:
@@ -663,7 +647,6 @@ class Scenario:
 
 def load_scenario(ref: str | Path) -> Scenario:
     """Load a builtin scenario by name or any scenario from a JSON path."""
-    text_source: str
     if isinstance(ref, str) and ref in BUILTIN_SCENARIOS:
         resource = resources.files("weylkit").joinpath("data", f"{ref}.json")
         payload = resource.read_text(encoding="utf-8")
@@ -680,5 +663,6 @@ def load_scenario(ref: str | Path) -> Scenario:
     try:
         raw = json.loads(payload)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{text_source}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        where = f"line {exc.lineno}, column {exc.colno}"
+        raise ScenarioError(f"{text_source}: parse error at {where}: {exc.msg}") from exc
     return Scenario(raw, source=text_source)

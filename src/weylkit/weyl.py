@@ -15,7 +15,7 @@ from operator import add, mul
 from typing import AbstractSet, Iterator
 
 from .base import Scalar, SparseElement, format_terms
-from .monomial import Monomial, d_monomial, z_monomial
+from .monomial import Monomial, _check_index, d_monomial, z_monomial
 from .poly import Poly
 
 
@@ -91,8 +91,7 @@ def partial_fourier(element: WeylElement, indices: AbstractSet[int]) -> WeylElem
     m2 holds b_i as a z exponent on S and as a d exponent off S.
     """
     for i in indices:
-        if not 1 <= i <= element.ambient:
-            raise ValueError(f"variable index {i} out of range 1..{element.ambient}")
+        _check_index(i, element.ambient)
     on = [i + 1 in indices for i in range(element.ambient)]
     terms = []
     for mono, coeff in element:

@@ -263,7 +263,7 @@ def check_module_axioms(seed: str, ambient: int = 3, rounds: int = 30) -> int:
         q = random_element(rng, ambient, terms=3, max_exp=2)
         section = section_from_operator(module, random_element(rng, ambient, terms=2))
         assert act(p * q, section) == act(p, act(q, section))
-        assert act(p + q, section) == act(p, section) + act(q, section)
+        assert act(p + q, section).data == act(p, section).data + act(q, section).data
         assert act(WeylElement.one(ambient), base) == base
     return rounds
 

@@ -6,6 +6,7 @@ from conftest import SEEDS
 from helpers import check_module_axioms, check_polynomial_action
 from weylkit import (
     DeltaModule,
+    DeltaSection,
     LeftIdeal,
     act,
     act_on_polynomial,
@@ -58,7 +59,7 @@ def test_presentation_relations():
 
 def test_support_euler_acts_as_minus_one():
     base = delta(MODULE)
-    assert act(op("z2*d2"), base) == base.scaled(-1)
+    assert act(op("z2*d2"), base) == DeltaSection(MODULE, base.data.scaled(-1))
     assert act(op("z2*d2 + 1"), base).is_zero()
     assert act(op("z4*d4 + 1"), base).is_zero()
 
@@ -192,5 +193,10 @@ def test_certify_annihilator_rejects_proper_subideal():
 
 
 def test_delta_module_validates_support():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"variable index 3 out of range 1\.\.2"):
         DeltaModule(2, frozenset({3}))
+
+
+def test_delta_module_bounds_its_ambient():
+    with pytest.raises(ValueError, match=r"ambient \d+ outside 0\.\.1000"):
+        delta(DeltaModule(2**70, frozenset()))

@@ -120,20 +120,28 @@ def test_minimal_scenario_runs_empty():
 @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
 def test_load_builds_only_what_is_read(monkeypatch, name):
     """Every object load caches is read, by a check of the run or by another
-    entry.  The first lookup of a key builds its object and load's own pass
-    looks each key up at most once, so a key looked up once was never read."""
-    lookups = Counter()
+    cached entry: a conjugate subalgebra reads its base and its ``by``
+    matrix, a character its subalgebra.  The run adds nothing to the cache."""
+    scenario = load_scenario(name)
+    built = set(scenario._cache)
+    read = set()
     lookup = Scenario._lookup
 
-    def counted(self, kind, ref, scope):
+    def recorded(self, kind, ref, scope):
         found = lookup(self, kind, ref, scope)
-        lookups[found[0]] += 1
+        read.add(found[0])
         return found
 
-    monkeypatch.setattr(Scenario, "_lookup", counted)
-    scenario = load_scenario(name)
+    monkeypatch.setattr(Scenario, "_lookup", recorded)
     run_scenario(scenario)
-    assert scenario._cache and [key for key in scenario._cache if lookups[key] < 2] == []
+    assert set(scenario._cache) == built
+    for kind, entry, _ in built:
+        spec = scenario._entry(kind, entry)[0]
+        if kind == "algebra" and "conjugate_of" in spec:
+            read |= {("algebra", spec["conjugate_of"], ()), ("matrix", spec["by"], ())}
+        elif kind == "character":
+            read.add(("algebra", spec["algebra"], ()))
+    assert built and sorted(built - read) == []
 
 
 def test_builtin_scenarios_load(n2_scenario, n3_scenario):
@@ -267,6 +275,26 @@ MALFORMED = {
             "checks": [check(ideal={"name": "J", "l": True})],
         },
         "check 'c1', field 'ideal': binding 'l' must be an integer or an integer expression",
+    ),
+    # A rebinding's text is read at load; its variables are bound at run time.
+    "binding-unreadable": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "checks": [check(ideal={"name": "J", "l": "l -"})],
+        },
+        "check 'c1', field 'ideal': binding 'l': cannot read 'l -': invalid syntax",
+    ),
+    "anchor-int": (
+        {"ideals": {"J": {"generators": ["z1"]}}, "checks": [check(provenance="PAPER", anchor=5)]},
+        "check 'c1' anchor must be a string",
+    ),
+    "anchor-object": (
+        {"ideals": {"J": {"generators": ["z1"]}}, "checks": [check(anchor={"lemma": 1})]},
+        "check 'c1' anchor must be a string",
+    ),
+    "note-list": (
+        {"ideals": {"J": {"generators": ["z1"]}}, "checks": [check(note=["x"])]},
+        "check 'c1' note must be a string",
     ),
     "reference-without-name": (
         {"ideals": {"J": {"generators": ["z1"]}}, "checks": [check(ideal={"l": 1})]},
@@ -512,6 +540,8 @@ def test_ideal_reference_with_bindings():
         ],
     )
     scenario = Scenario(raw)
+    # Load applies the rebinding once, as the run does: J at l = 3 only.
+    assert list(scenario._cache) == [("ideal", "J", (("l", 3),))]
     report = run_scenario(scenario)
     assert report["checks"][0]["verdict"] == "pass"
     assert scenario.ideal({"name": "J", "l": 2}) is scenario.ideal({"name": "J", "l": "2"})

@@ -234,6 +234,20 @@ def test_fourier_involution_sample():
     assert check_fourier_involution(SEEDS["fourier"], rounds=25) == 25
 
 
+def test_generators_bound_their_ambient():
+    for generator in (z, d):
+        with pytest.raises(ValueError, match=r"ambient \d+ outside 0\.\.1000"):
+            generator(1, 2**70)
+
+
+def test_elements_bound_their_ambient():
+    for build in (WeylElement.zero, WeylElement.one):
+        with pytest.raises(ValueError, match=r"ambient \d+ outside 0\.\.1000"):
+            build(2**70)
+    with pytest.raises(ValueError, match=r"ambient -1 outside 0\.\.1000"):
+        WeylElement.zero(-1)
+
+
 def test_fourier_spec_validates_indices():
     with pytest.raises(ValueError, match=r"variable index 3 out of range 1\.\.2"):
         partial_fourier(z(1, 2), frozenset({3}))
