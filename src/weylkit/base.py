@@ -6,7 +6,9 @@ as an ``int`` when it is integral and as a ``Fraction`` only when its
 denominator exceeds 1, so most arithmetic runs on native ints; a sum or
 product may leave a ``Fraction`` with denominator 1, which equals and hashes
 as the ``int``.  No coefficient is ever a float: the one true division on
-coefficients is ``_exact_quotient``.
+coefficients is ``_exact_quotient``.  The Lie and linear-algebra layers store
+matrix entries, structure constants, character values and points by the same
+rule, through ``_coefficient`` and ``_exact_quotient``.
 
 Subclasses supply a printing dialect and the ring product of two monomials
 through ``_term_product``, which yields (monomial, int) pairs.  Every product
@@ -33,21 +35,14 @@ Scalar = int | Fraction
 _LOG10_2 = math.log10(2)
 
 
-def as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, Rational):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
 def _coefficient(value) -> Scalar:
-    """An exact rational as an element coefficient: an int when integral."""
+    """An exact rational as the package stores it: an int when integral, else
+    a Fraction.  Floats, strings and other non-rationals are refused."""
     if type(value) is int:
         return value
-    c = as_fraction(value)
+    if not isinstance(value, Rational):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    c = Fraction(value)
     return c.numerator if c.denominator == 1 else c
 
 

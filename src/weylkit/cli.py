@@ -10,27 +10,23 @@ inline semicolon-separated generator lists.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
 from .charvar import graded_ideal, simplicity_certificate
 from .deltamod import DeltaModule, certify_annihilator, section_from_operator
 from .groebner import LeftIdeal, PairLimitExceeded
-from .parser import parse_expression
+from .parser import _largest_index, parse_expression
 from .report import check_lines, render_json, render_markdown
 from .runner import run_scenario
 from .scenario import Scenario, ScenarioError, load_scenario
 from .weyl import WeylElement
 
-_INDEX = re.compile(r"[zd](\d+)")
-
 
 def _inferred_ambient(texts: list[str], explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    indices = [int(m) for text in texts for m in _INDEX.findall(text)]
-    return max(indices, default=1)
+    """``--ambient`` when given, else the largest variable index the texts
+    name, and at least 1."""
+    return explicit if explicit is not None else max(_largest_index(texts), 1)
 
 
 def _cli_scope(args: argparse.Namespace) -> dict[str, int]:

@@ -11,11 +11,10 @@ the partial Fourier automorphism on S.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import perm
 from typing import Sequence
 
-from .base import Scalar, _accumulate, format_terms
+from .base import Scalar, _accumulate, _exact_quotient, format_terms
 from .charvar import HolonomicityCertificate, simplicity_certificate
 from .groebner import LeftIdeal
 from .monomial import Monomial, _check_ambient, _check_index
@@ -197,7 +196,7 @@ def lagrange_projector(euler: WeylElement, level: int, lmax: int) -> WeylElement
     for other in range(lmax + 1):
         if other == level:
             continue
-        out = (out * (euler - other)).scaled(Fraction(1, level - other))
+        out = (out * (euler - other)).scaled(_exact_quotient(1, level - other))
     return out
 
 

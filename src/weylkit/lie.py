@@ -22,10 +22,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .base import Scalar, as_fraction
+from .base import Scalar, _coefficient, _exact_quotient
 from .deltamod import act_on_polynomial
 from .linalg import Matrix, Vector, invert, mat_mul, matrix, rank
 from .monomial import Monomial
@@ -34,7 +33,7 @@ from .poly import Poly
 from .weyl import WeylElement
 
 # Nonzero entries of a matrix, keyed by 0-based (row, column).
-Sparse = dict[tuple[int, int], Fraction]
+Sparse = dict[tuple[int, int], Scalar]
 
 
 def _sparse(mat: Matrix) -> Sparse:
@@ -43,7 +42,7 @@ def _sparse(mat: Matrix) -> Sparse:
 
 def _sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
     """[a, b] = ab - ba, one product term per pair of nonzero entries."""
-    out: dict[tuple[int, int], Fraction] = {}
+    out: Sparse = {}
     for (i, k), x in a.items():
         for (p, j), y in b.items():
             if k == p:
@@ -56,7 +55,7 @@ def _sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
 def parse_matrix_expr(text: str, size: int) -> Matrix:
     """Sum of terms sign? (uint '*')? E<i><j>, single-digit indices, that
     parentheses may group: each E<i><j> counts times the factors above it."""
-    out = [[Fraction(0)] * size for _ in range(size)]
+    out = [[0] * size for _ in range(size)]
     stack = [(read_arithmetic(text, ParseError)[-1], 1)]
     while stack:
         node, factor = stack.pop()
@@ -90,18 +89,18 @@ class LieSubalgebra:
         # Echelon rows in basis order: (pivot, row, transform) with row[pivot]
         # == 1, row zero at every earlier pivot, and row equal to the sum of
         # transform[k] * basis[k].
-        self._echelon: list[tuple[tuple[int, int], Sparse, dict[int, Fraction]]] = []
+        self._echelon: list[tuple[tuple[int, int], Sparse, dict[int, Scalar]]] = []
         for index, entries in enumerate(self._sparse_basis):
             residue, combination = self._reduce(entries)
             if not residue:
                 raise ValueError("basis matrices are linearly dependent")
             pivot = min(residue)
             scale = residue[pivot]
-            transform = {k: -c / scale for k, c in combination.items()}
-            transform[index] = 1 / scale
-            row = {key: v / scale for key, v in residue.items()}
+            transform = {k: _exact_quotient(-c, scale) for k, c in combination.items()}
+            transform[index] = _exact_quotient(1, scale)
+            row = {key: _exact_quotient(v, scale) for key, v in residue.items()}
             self._echelon.append((pivot, row, transform))
-        self._structure: dict[tuple[int, int], dict[int, Fraction] | None] | None = None
+        self._structure: dict[tuple[int, int], dict[int, Scalar] | None] | None = None
 
     def _checked(self, mat: Matrix) -> Matrix:
         mat = matrix(mat)
@@ -109,11 +108,11 @@ class LieSubalgebra:
             raise ValueError(f"expected {self._size} x {self._size} matrices")
         return mat
 
-    def _reduce(self, entries: Sparse) -> tuple[Sparse, dict[int, Fraction]]:
+    def _reduce(self, entries: Sparse) -> tuple[Sparse, dict[int, Scalar]]:
         """Back-substitution: (residue, combination) with entries equal to
         residue + sum combination[k] * basis[k] and residue zero at every pivot."""
         residue = dict(entries)
-        combination: dict[int, Fraction] = {}
+        combination: dict[int, Scalar] = {}
         for pivot, row, transform in self._echelon:
             factor = residue.get(pivot)
             if factor is None:
@@ -128,7 +127,7 @@ class LieSubalgebra:
                 combination[k] = combination.get(k, 0) + factor * t
         return residue, combination
 
-    def _structure_constants(self) -> dict[tuple[int, int], dict[int, Fraction] | None]:
+    def _structure_constants(self) -> dict[tuple[int, int], dict[int, Scalar] | None]:
         """c_ij^k by 0-based pair (i, j), i < j, in row order; None where [b_i, b_j]
         leaves the span.  Computed on first use and cached."""
         if self._structure is None:
@@ -157,7 +156,7 @@ class LieSubalgebra:
         residue, combination = self._reduce(_sparse(self._checked(mat)))
         if residue:
             return None
-        return [Fraction(combination.get(k, 0)) for k in range(self.dimension)]
+        return [_coefficient(combination.get(k, 0)) for k in range(self.dimension)]
 
     def contains(self, mat: Matrix) -> bool:
         return self.coordinates(mat) is not None
@@ -184,7 +183,7 @@ class Character:
     """Linear functional on a subalgebra, given by its values on the basis."""
 
     algebra: LieSubalgebra
-    values: tuple[Fraction, ...]
+    values: tuple[Scalar, ...]
 
     def __post_init__(self):
         if len(self.values) != self.algebra.dimension:
@@ -201,7 +200,7 @@ class Character:
 
 
 def character_from_values(algebra: LieSubalgebra, values: Sequence[Scalar]) -> Character:
-    return Character(algebra, tuple(as_fraction(v) for v in values))
+    return Character(algebra, tuple(_coefficient(v) for v in values))
 
 
 def rho(mat: Matrix, ambient: int | None = None) -> WeylElement:
@@ -236,11 +235,11 @@ def apply_vector_field(mat: Matrix, polynomial: Poly) -> Poly:
 
 def tangent_rank_at(basis: Sequence[Matrix], point: Sequence[Scalar]) -> int:
     """Rank of the orbit-map differential: span of A p over the basis."""
-    p = [as_fraction(v) for v in point]
+    p = [_coefficient(v) for v in point]
     rows = []
     for b in basis:
         a = matrix(b)
         if any(len(row) != len(p) for row in a):
             raise ValueError("matrix size must match the point length")
-        rows.append([sum((row[j] * p[j] for j in range(len(p))), Fraction(0)) for row in a])
+        rows.append([sum(row[j] * p[j] for j in range(len(p))) for row in a])
     return rank(rows)

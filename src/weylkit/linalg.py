@@ -1,41 +1,40 @@
 """Small exact linear algebra over the rationals.
 
-Matrices are lists of equal-length rows of Fractions.  Nothing here is
-tuned; sizes stay in the tens.  The Lie layer does its own sparse
-echelon work for subalgebras and calls in here only for the dense
-leftovers: ``conjugate_subalgebra`` (``mat_mul``, ``invert``) and
-``tangent_rank_at`` (``rank``).  ``solve`` has no caller in the package;
-the tests use it as the dense coordinates oracle, and the benchmark's
-tracer wraps it by name.
+Matrices are lists of equal-length rows of exact rationals, each stored as
+ring coefficients are (``base._coefficient``).  Nothing here is tuned; sizes
+stay in the tens.  The Lie layer does its own sparse echelon work for
+subalgebras and calls in here only for the dense leftovers:
+``conjugate_subalgebra`` (``mat_mul``, ``invert``) and ``tangent_rank_at``
+(``rank``).  ``solve`` has no caller in the package; the tests use it as the
+dense coordinates oracle, and the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .base import Scalar, as_fraction
+from .base import Scalar, _coefficient, _exact_quotient
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Matrix = list[list[Scalar]]
+Vector = list[Scalar]
 
 
 def matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    out = [[as_fraction(v) for v in row] for row in rows]
+    out = [[_coefficient(v) for v in row] for row in rows]
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("ragged matrix")
     return out
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions disagree")
     return [
-        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
         for row in a
     ]
 
@@ -52,7 +51,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
             continue
         m[row], m[pivot] = m[pivot], m[row]
         scale = m[row][col]
-        m[row] = [v / scale for v in m[row]]
+        m[row] = [_exact_quotient(v, scale) for v in m[row]]
         for r in range(len(m)):
             if r != row and m[r][col]:
                 factor = m[r][col]
@@ -77,7 +76,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     cols = len(a[0])
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for r, p in enumerate(pivots):
         x[p] = reduced[r][-1]
     return x

@@ -257,6 +257,11 @@ class _Parser:
         return d(tok.index, self.ambient)
 
 
+def _largest_index(texts: Sequence[str]) -> int:
+    """The largest variable index the texts name, 0 when they name none."""
+    return max((t.index for text in texts for t in _tokenize(text) if t.kind == "gen"), default=0)
+
+
 def _prepare(text: str, ambient: int | None) -> tuple[list[_Token], int]:
     tokens = _tokenize(text)
     if not tokens:

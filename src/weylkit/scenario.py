@@ -20,9 +20,9 @@ import ast
 import json
 import operator
 import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -246,6 +246,8 @@ class Scenario:
         for table in _TABLES.values():
             if not isinstance(raw.get(table, {}), dict):
                 raise ScenarioError(f"{name}: {table} must be an object of named entries")
+        if not isinstance(raw.get("checks", []), list):
+            raise ScenarioError(f"{name}: checks must be a list of check objects")
 
     def _check_spec(self, raw: Any) -> CheckSpec:
         if not isinstance(raw, dict):
@@ -281,6 +283,8 @@ class Scenario:
                 raise ScenarioError(
                     f"{self.name}: check {cid!r} foreach {key!r} must list at least one integer"
                 )
+            if len(set(values)) != len(values):
+                raise ScenarioError(f"{self.name}: check {cid!r} foreach {key!r} repeats a value")
             for value in values:
                 self._checked(f"check {cid!r} foreach", {key: value})
             foreach[key] = tuple(values)
@@ -317,10 +321,15 @@ class Scenario:
         return value
 
     def _validate_references(self) -> None:
-        ids = [c.id for c in self.checks]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise ScenarioError(f"{self.name}: duplicate check ids {dup}")
+        # One report record per instance id: a check "c[l=1]" collides with
+        # a check "c" whose foreach gives l the value 1.
+        for what, ids in (
+            ("check ids", [c.id for c in self.checks]),
+            ("check instance ids", [i for c in self.checks for i, _ in c.instances()]),
+        ):
+            dup = sorted(i for i, n in Counter(ids).items() if n > 1)
+            if dup:
+                raise ScenarioError(f"{self.name}: duplicate {what} {dup}")
         for check in self.checks:
             for field, ftype in CHECK_SCHEMAS[check.kind].items():
                 if field not in check.params:
@@ -590,10 +599,10 @@ class Scenario:
 
     def matrix(
         self, ref: Any, scope: Mapping[str, int] | None = None
-    ) -> tuple[tuple[Fraction, ...], ...]:
+    ) -> tuple[tuple[int, ...], ...]:
         key, _, rows, _ = self._lookup("matrix", ref, scope)
         if key not in self._cache:
-            self._cache[key] = tuple(tuple(Fraction(e) for e in row) for row in rows)
+            self._cache[key] = tuple(map(tuple, rows))
         return self._cache[key]
 
     def algebra(self, ref: Any, scope: Mapping[str, int] | None = None) -> LieSubalgebra:
@@ -631,11 +640,11 @@ class Scenario:
                 )
         return self._cache[key]
 
-    def point(self, ref: Any, scope: Mapping[str, int] | None = None) -> tuple[Fraction, ...]:
+    def point(self, ref: Any, scope: Mapping[str, int] | None = None) -> tuple[int, ...]:
         key, label, coords, scope = self._lookup("point", ref, scope)
         if key not in self._cache:
             with self._naming(label, scope):
-                self._cache[key] = tuple(Fraction(eval_int_expr(str(c), scope)) for c in coords)
+                self._cache[key] = tuple(eval_int_expr(str(c), scope) for c in coords)
         return self._cache[key]
 
     def expression(self, text: str, scope: Mapping[str, int] | None = None):
@@ -665,4 +674,8 @@ def load_scenario(ref: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         where = f"line {exc.lineno}, column {exc.colno}"
         raise ScenarioError(f"{text_source}: parse error at {where}: {exc.msg}") from exc
+    except ValueError:  # JSONDecodeError's base: an integer of too many digits
+        raise ScenarioError(f"{text_source}: a number has more digits than Python reads") from None
+    except RecursionError:
+        raise ScenarioError(f"{text_source}: arrays or objects nested too deeply to read") from None
     return Scenario(raw, source=text_source)

@@ -280,6 +280,9 @@ def test_deep_parentheses_are_a_named_error():
     [
         (("normalize", "z1^²"), "unexpected character '²' (position 3)"),
         (("normalize", "z1", "--ambient", str(10**20)), f"ambient {10**20} outside 0..1000"),
+        # The inferred ambient comes from the parser's own tokens.
+        (("normalize", "zeta2"), "zeta is only valid in symbol polynomials (position 0)"),
+        (("normalize", "z" + "1" * 5000), "a number of 5000 digits is too long (position 1)"),
     ],
 )
 def test_non_ascii_digits_and_huge_ambients_are_named_errors(argv, message):

@@ -384,3 +384,30 @@ def test_twisted_generators_refuse_a_foreign_character():
     )
     with pytest.raises(ValueError, match="different subalgebra"):
         twisted_generators(h3, character_from_values(other, [1, 1, 0, 0]))
+
+
+def test_lie_values_are_stored_as_ring_coefficients():
+    """Matrix entries, coordinates, character values and points are ints
+    where integral and Fractions only where a denominator exists; floats and
+    strings are refused, and True reads as 1."""
+
+    def stored(values):
+        return all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values)
+
+    algebra = LieSubalgebra(2, [[[2, 0], [0, 0]], [[0, Fraction(1, 2)], [0, Fraction(4, 2)]]])
+    entries = [v for b in algebra.basis for row in b for v in row]
+    assert entries == [2, 0, 0, 0, 0, Fraction(1, 2), 0, 2] and stored(entries)
+    coordinates = algebra.coordinates([[1, 1], [0, 4]])
+    assert coordinates == [Fraction(1, 2), 2] and stored(coordinates)
+    chi = character_from_values(algebra, [True, Fraction(6, 4)])
+    assert chi.values == (1, Fraction(3, 2)) and stored(chi.values)
+    assert tangent_rank_at(algebra.basis, [1, Fraction(1, 3)]) == 2
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        LieSubalgebra(2, [[[0.5, 0], [0, 0]]])
+    with pytest.raises(TypeError, match="expected an exact rational, got str"):
+        character_from_values(algebra, ["1", 0])
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        tangent_rank_at(algebra.basis, [0.5, 0])
+    raw = {"name": "u", "ambient": 2, "matrices": {"m": [[1, 0], [0, 1]]}, "points": {"p": [1, "l"]}}
+    scenario = Scenario(raw)
+    assert stored(scenario.point("p", {"l": 3})) and all(map(stored, scenario.matrix("m")))

@@ -62,13 +62,23 @@ def test_every_export_has_a_use_outside_the_tests():
 
 
 def test_element_coefficients_are_divided_only_by_the_exact_quotient():
-    """Python's ``/`` on two ints is a float, and element coefficients are
-    ints when integral, so element code divides them through
-    ``base._exact_quotient`` alone."""
+    """Python's ``/`` on two ints is a float, and every exact value the
+    package stores (ring coefficients, matrix entries, structure constants,
+    character values, points) is an int when integral, so every module
+    divides them through ``base._exact_quotient`` alone, and only ``base``
+    names ``Fraction``."""
     package = Path(weylkit.__file__).resolve().parent
     found = []
-    for name in ("base", "groebner", "weyl", "poly", "charvar", "deltamod", "runner", "parser"):
-        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+    for path in sorted(package.glob("*.py")):
+        name = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if name != "base":
+            found += [
+                f"{name}.py:{node.lineno} imports fractions"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+            ]
         allowed = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name == "_exact_quotient":

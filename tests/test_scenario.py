@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -22,6 +23,7 @@ from weylkit import (
     strip_timing,
     substitute,
 )
+from weylkit.cli import main
 from weylkit.report import check_lines
 from weylkit.scenario import BUILTIN_SCENARIOS, CHECK_SCHEMAS, template_vars
 
@@ -416,16 +418,43 @@ MALFORMED = {
         },
         "check 'c1', field 'targets': target element must be an expression string",
     ),
+    # A check list of another JSON type is not iterated.
+    "checks-int": ({"checks": 5}, "checks must be a list of check objects"),
+    "checks-null": ({"checks": None}, "checks must be a list of check objects"),
+    "checks-object": ({"checks": {"a": {}}}, "checks must be a list of check objects"),
+    # One record per instance id.
+    "foreach-repeat": (
+        {"ideals": {"J": {"generators": ["z1"]}}, "checks": [check(foreach={"l": [0, 0]})]},
+        "check 'c1' foreach 'l' repeats a value",
+    ),
+    "instance-id-collision": (
+        {
+            "ideals": {"J": {"generators": ["z1"]}},
+            "checks": [check("c[l=1]"), check("c", foreach={"l": [1]})],
+        },
+        r"duplicate check instance ids \['c\[l=1\]'\]",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_scenarios_fail_at_load_time_with_a_named_error(tmp_path, case):
+def test_malformed_scenarios_fail_at_load_time_with_a_named_error(tmp_path, capsys, case):
     overrides, message = MALFORMED[case]
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(minimal_raw(**overrides)), encoding="utf-8")
     with pytest.raises(ScenarioError, match=f"^unit: {message}"):
         load_scenario(str(path))
+    # In process, a traceback would surface as an uncaught exception here.
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(f"error: unit: {message}", captured.err)
+
+
+def test_a_malformed_scenario_exits_2_from_a_fresh_interpreter(tmp_path):
+    overrides, message = MALFORMED["checks-int"]
+    path = tmp_path / "checks-int.json"
+    path.write_text(json.dumps(minimal_raw(**overrides)), encoding="utf-8")
     env = dict(os.environ)
     src = str(Path(weylkit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -437,8 +466,30 @@ def test_malformed_scenarios_fail_at_load_time_with_a_named_error(tmp_path, case
         timeout=60,
     )
     assert done.returncode == 2
-    assert done.stderr.startswith(f"error: unit: {message}")
+    assert done.stderr == f"error: unit: {message}\n"
     assert "Traceback" not in done.stdout + done.stderr
+
+
+# Scenario texts that json.loads itself refuses: (text, message after the path).
+UNREADABLE_JSON = {
+    "integer-too-long": (
+        '{"name": "unit", "ambient": 2, "checks": [{"id": "c", "foreach": {"l": ['
+        + "1" * 5000
+        + "]}}]}",
+        "a number has more digits than Python reads",
+    ),
+    "nesting-too-deep": ("[" * 100_000, "arrays or objects nested too deeply to read"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+def test_unreadable_json_is_a_named_error(tmp_path, capsys, case):
+    text, message = UNREADABLE_JSON[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}: {message}\n")
 
 
 def test_legacy_keys_are_ignored(tmp_path, n2_report):
