@@ -36,7 +36,6 @@ from .groebner import (
     LeftIdeal,
     PairLimitExceeded,
     buchberger,
-    ideal_contains,
     reduce_element,
     s_polynomial,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "delta_to_polynomial",
     "eval_int_expr",
     "graded_ideal",
-    "ideal_contains",
     "interpolation_lift",
     "krull_dimension",
     "lagrange_projector",

@@ -240,11 +240,12 @@ def _assert_bernstein(dim: int, m: int) -> None:
 class HolonomicityCertificate:
     """Outcome of the holonomicity and simplicity analysis of a cyclic module.
 
-    ``simple`` is "yes" only when the module is holonomic with multiplicity
-    one and the characteristic variety is provably the conormal variety of a
-    coordinate subspace, and "no" when the module is not holonomic (so it
-    cannot be a simple holonomic system); anything the certificate cannot
-    settle is "undetermined".
+    ``simple`` is "yes" when the module is holonomic with multiplicity one,
+    and "no" when the module is not holonomic (so it cannot be a simple
+    holonomic system); anything the certificate cannot settle is
+    "undetermined".  ``vanishing`` names the coordinate slots that cut out
+    the characteristic variety when it is provably the conormal variety of a
+    coordinate subspace, and is None otherwise.
     """
 
     dimension: int
@@ -276,7 +277,9 @@ def _radical_contains_slot(graded: LeftIdeal, slot: int, bound: int) -> bool:
     return False
 
 
-def _conormal_vanishing(graded: LeftIdeal, independent: list[frozenset[int]]) -> tuple[str, ...] | None:
+def _conormal_vanishing(
+    graded: LeftIdeal, independent: list[frozenset[int]]
+) -> tuple[str, ...] | None:
     """Certify that the zero set is exactly a coordinate conormal variety.
 
     Needs a unique maximal independent set picking one slot per variable
@@ -309,11 +312,12 @@ def simplicity_certificate(ideal: LeftIdeal) -> HolonomicityCertificate:
     """Analyze the cyclic module presented by ``ideal``.
 
     Holonomicity means the characteristic variety has the minimal dimension
-    allowed by the Bernstein inequality.  Multiplicity one already forces
-    simplicity; the certificate additionally pins the variety down as a
-    coordinate conormal before claiming it, and reports "undetermined"
-    otherwise.  A non-holonomic module is not a simple holonomic system, so
-    its ``simple`` field is "no".
+    allowed by the Bernstein inequality.  Multiplicity is additive on
+    holonomic modules and at least 1 on nonzero ones, so a holonomic module
+    of multiplicity 1 is simple: ``simple`` is "yes", and ``vanishing`` names
+    the variety when it is a coordinate conormal (else None).  At higher
+    multiplicity ``simple`` is "undetermined".  A non-holonomic module is not
+    a simple holonomic system, so its ``simple`` field is "no".
     """
     _require_operator(ideal)
     m = ideal.ambient
@@ -326,6 +330,4 @@ def simplicity_certificate(ideal: LeftIdeal) -> HolonomicityCertificate:
     if mult != 1:
         return HolonomicityCertificate(dim, mult, "holonomic", "undetermined", None)
     vanishing = _conormal_vanishing(graded, independent)
-    if vanishing is None:
-        return HolonomicityCertificate(dim, mult, "holonomic", "undetermined", None)
     return HolonomicityCertificate(dim, mult, "holonomic", "yes", vanishing)

@@ -510,8 +510,3 @@ class LeftIdeal:
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self._generators)
         return f"LeftIdeal[{gens}]"
-
-
-def ideal_contains(outer: LeftIdeal, inner: LeftIdeal) -> bool:
-    """Whether every generator of ``inner`` lies in ``outer``."""
-    return all(outer.contains(g) for g in inner.generators)

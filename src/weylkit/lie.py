@@ -216,10 +216,10 @@ def rho(mat: Matrix, ambient: int | None = None) -> WeylElement:
     return WeylElement(m, {Monomial(unit[j], unit[i]): -v for i, j, v in entries})
 
 
-def twisted_generators(algebra: LieSubalgebra, character: Character) -> list[WeylElement]:
-    """Generators rho(x_k) - chi(x_k) of the induced presentation ideal."""
-    if character.algebra is not algebra and character.algebra._basis != algebra._basis:
-        raise ValueError("character belongs to a different subalgebra")
+def twisted_generators(character: Character) -> list[WeylElement]:
+    """Generators rho(x_k) - chi(x_k) of the twisted system I(h, chi), with
+    x_k the basis of the character's subalgebra h."""
+    algebra = character.algebra
     return [
         rho(x) - WeylElement.constant(v, algebra.size)
         for x, v in zip(algebra._basis, character.values)

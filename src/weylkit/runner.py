@@ -20,8 +20,8 @@ from .deltamod import (
     delta_to_polynomial,
     interpolation_lift,
 )
-from .groebner import LeftIdeal, ideal_contains
-from .lie import apply_vector_field, tangent_rank_at, twisted_generators
+from .groebner import LeftIdeal
+from .lie import apply_vector_field, tangent_rank_at
 from .scenario import CheckSpec, Scenario
 from .weyl import partial_fourier
 
@@ -193,27 +193,6 @@ def _check_character_valid(check: CheckSpec, character) -> Verdict:
     )
 
 
-def _check_twisted_containment(check: CheckSpec, algebra, character, ideal) -> Verdict:
-    failure = _first_nonzero(twisted_generators(algebra, character), ideal.reduce)
-    if failure is None:
-        return PASS, {"operators": algebra.dimension}
-    index, operator, remainder = failure
-    return FAIL, {"index": index, "operator": str(operator), "normal_form": str(remainder)}
-
-
-def _check_twisted_generates(check: CheckSpec, algebra, character, ideal) -> Verdict:
-    twisted = LeftIdeal(twisted_generators(algebra, character))
-    forward = ideal_contains(ideal, twisted)
-    reverse = ideal_contains(twisted, ideal)
-    witness = {
-        "twisted_in_stated": forward,
-        "stated_in_twisted": reverse,
-        "twisted_generators": len(twisted.generators),
-        "stated_generators": len(ideal.generators),
-    }
-    return (PASS if forward and reverse else FAIL), witness
-
-
 def _check_kernel_element(check: CheckSpec, terms) -> Verdict:
     """``terms`` is the operator sum of coeff * rho(A_1) ... rho(A_k)."""
     rendered = [
@@ -272,8 +251,6 @@ _HANDLERS: dict[str, Callable[..., Verdict]] = {
     "interpolation": _check_interpolation,
     "is_subalgebra": _check_is_subalgebra,
     "character_valid": _check_character_valid,
-    "twisted_containment": _check_twisted_containment,
-    "twisted_generates": _check_twisted_generates,
     "kernel_element": _check_kernel_element,
     "variety_stable": _check_variety_stable,
     "tangent_rank": _check_tangent_rank,

@@ -2,7 +2,9 @@
 
 A scenario is a JSON document naming an ambient coordinate count, tables of
 named ideals, delta-module sections, polynomials, matrix subalgebras with
-characters, orbit charts, points and matrices, and a list of checks.
+characters, orbit charts, points and matrices, and a list of checks.  An
+ideal is a generator list, or ``{"twisted": <character>}``: the twisted
+system I(h, chi) of a character chi of the subalgebra h.
 Expression fields use the operator grammar verbatim; occurrences of ``{...}``
 inside them are integer templates filled in from the active parameter scope
 (for example a ``foreach`` parameter l), so one ideal definition covers a
@@ -37,6 +39,7 @@ from .lie import (
     conjugate_subalgebra,
     parse_matrix_expr,
     rho,
+    twisted_generators,
 )
 from .parser import MAX_AMBIENT, parse_expression, parse_polynomial, read_arithmetic
 from .poly import Poly
@@ -115,8 +118,6 @@ CHECK_SCHEMAS: dict[str, dict[str, str]] = {
     "interpolation": {"targets": "target_list", "lmax": "int", "ideal": "ideal_family"},
     "is_subalgebra": {"algebra": "algebra"},
     "character_valid": {"character": "character"},
-    "twisted_containment": {"algebra": "algebra", "character": "character", "ideal": "ideal"},
-    "twisted_generates": {"algebra": "algebra", "character": "character", "ideal": "ideal"},
     "kernel_element": {"terms": "kernel_terms"},
     "variety_stable": {"algebra": "algebra", "chart": "chart"},
     "tangent_rank": {"algebra": "algebra", "point": "point"},
@@ -435,6 +436,18 @@ class Scenario:
         texts, scan = [], template_vars
         if kind in ("section", "polynomial"):
             texts = [spec]
+        elif kind == "ideal" and isinstance(spec, dict) and "twisted" in spec:
+            # The twisted system I(h, chi) of a character, which names its
+            # subalgebra h; the entry uses the character's scope variables.
+            ref = spec["twisted"]
+            if "generators" in spec:
+                raise ScenarioError(f"{where} takes generators or twisted, not both")
+            if not isinstance(ref, str):
+                raise ScenarioError(f"{where}: twisted must be a character name")
+            if ref not in self.raw.get("characters", {}):
+                raise ScenarioError(f"{where} is twisted by an unknown character {ref!r}")
+            self._entries[kind, name] = spec, self._entry("character", ref)[1]
+            return self._entries[kind, name]
         elif kind == "ideal":
             texts = spec.get("generators") if isinstance(spec, dict) else None
             if not isinstance(texts, list) or not texts:
@@ -575,11 +588,16 @@ class Scenario:
     def ideal(self, ref: Any, scope: Mapping[str, int] | None = None) -> LeftIdeal:
         key, label, spec, scope = self._lookup("ideal", ref, scope)
         if key not in self._cache:
-            generators = spec["generators"]
+            # The character names itself in its own errors.
+            if "twisted" in spec:
+                generators = twisted_generators(self.character(spec["twisted"], scope))
             with self._naming(label, scope):
-                self._cache[key] = LeftIdeal(
-                    [parse_expression(substitute(t, scope), self.ambient) for t in generators]
-                )
+                if "twisted" not in spec:
+                    generators = [
+                        parse_expression(substitute(t, scope), self.ambient)
+                        for t in spec["generators"]
+                    ]
+                self._cache[key] = LeftIdeal(generators)
         return self._cache[key]
 
     def section(self, ref: Any, scope: Mapping[str, int] | None = None) -> DeltaSection:

@@ -121,6 +121,19 @@ def test_certificate_for_simple_holonomic_module():
     assert "holonomic" in cert.describe()
 
 
+@pytest.mark.parametrize("texts", [("d1 - z1",), ("d1 - z1", "d2 - z2")])
+def test_multiplicity_one_is_simple_off_the_coordinate_conormals(texts):
+    """Under the Bernstein filtration D/D(d1 - z1) has the variety zeta1 = z1,
+    which is no coordinate conormal; multiplicity 1 alone makes it simple."""
+    cert = simplicity_certificate(ideal(*texts, ambient=len(texts)))
+    assert (cert.dimension, cert.multiplicity, cert.verdict) == (len(texts), 1, "holonomic")
+    assert cert.simple == "yes"
+    assert cert.vanishing is None
+    assert cert.describe() == f"dim {len(texts)}, mult 1, holonomic, simple: yes"
+    higher = simplicity_certificate(ideal("z1*d1 - 1", ambient=1))
+    assert (higher.multiplicity, higher.simple) == (2, "undetermined")
+
+
 def test_certificate_for_non_holonomic_module():
     cert = simplicity_certificate(I3)
     assert cert.dimension == 5

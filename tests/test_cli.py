@@ -108,6 +108,22 @@ def test_charvar_fixture(capsys):
     assert "graded ideal generators:" in out
 
 
+@pytest.mark.parametrize(
+    ("scenario", "dimension", "multiplicity"), [("paper-n2", 4, 4), ("paper-n3", 6, 16)]
+)
+def test_charvar_of_the_twisted_system(capsys, scenario, dimension, multiplicity):
+    code, out, _ = run(capsys, "charvar", "twisted-chi-l", "--scenario", scenario, "--l", "1")
+    assert code == 0
+    assert f"dimension: {dimension}\nmultiplicity: {multiplicity}\nverdict: holonomic\n" in out
+
+
+def test_twisted_system_needs_the_characters_parameters(capsys):
+    code, out, err = run(capsys, "gb", "paper-n3", "twisted-chi-l")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: paper-n3: ideal 'twisted-chi-l' needs parameter(s) ['l']")
+
+
 def test_certify_with_scenario_section(capsys):
     code, out, _ = run(
         capsys,

@@ -91,3 +91,14 @@ def test_element_coefficients_are_divided_only_by_the_exact_quotient():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_package_lines_fit_in_100_columns():
+    package = Path(weylkit.__file__).resolve().parent
+    long = [
+        f"{path.name}:{number} has {len(line)} columns"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > 100
+    ]
+    assert long == []

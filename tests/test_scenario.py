@@ -24,6 +24,7 @@ from weylkit import (
     substitute,
 )
 from weylkit.cli import main
+from weylkit.lie import twisted_generators
 from weylkit.report import check_lines
 from weylkit.scenario import BUILTIN_SCENARIOS, CHECK_SCHEMAS, template_vars
 
@@ -156,6 +157,8 @@ def test_builtin_scenarios_load(n2_scenario, n3_scenario):
         "I3",
         "presentation",
         "rho-chi-h3",
+        "twisted-chi",
+        "twisted-chi-l",
     ]
 
 
@@ -417,6 +420,27 @@ MALFORMED = {
             "checks": [check(kind="interpolation", targets=[{"level": 0, "element": 1}], lmax=1)],
         },
         "check 'c1', field 'targets': target element must be an expression string",
+    ),
+    # A twisted ideal names one character and nothing else.
+    "twisted-unknown-character": (
+        {"ideals": {"T": {"twisted": "chi"}}},
+        "ideal 'T' is twisted by an unknown character 'chi'",
+    ),
+    "twisted-not-string": (
+        {
+            "subalgebras": {"b": {"basis": ["E11"]}},
+            "characters": {"chi": {"algebra": "b", "values": ["1"]}},
+            "ideals": {"T": {"twisted": ["chi"]}},
+        },
+        "ideal 'T': twisted must be a character name",
+    ),
+    "twisted-with-generators": (
+        {
+            "subalgebras": {"b": {"basis": ["E11"]}},
+            "characters": {"chi": {"algebra": "b", "values": ["1"]}},
+            "ideals": {"T": {"twisted": "chi", "generators": ["z1"]}},
+        },
+        "ideal 'T' takes generators or twisted, not both",
     ),
     # A check list of another JSON type is not iterated.
     "checks-int": ({"checks": 5}, "checks must be a list of check objects"),
@@ -691,11 +715,21 @@ def test_negative_l_refused_by_every_resolver(n2_scenario):
         (n2_scenario.section, "Tl"),
         (n2_scenario.polynomial, "fourier-Tl"),
         (n2_scenario.character, "chi-l"),
+        (n2_scenario.ideal, "twisted-chi-l"),
     ):
         with pytest.raises(ScenarioError, match=rf"paper-n2: \w+ '{name}' \(l=-1\): parameter l"):
             resolve(name, {"l": -1})
     with pytest.raises(ScenarioError, match=r"paper-n2: expression 'z1' \(l=-1\): parameter l"):
         n2_scenario.expression("z1", {"l": -1})
+
+
+def test_a_twisted_entry_is_the_twisted_system_of_its_character(n2_scenario):
+    character = n2_scenario.character("chi-l", {"l": 2})
+    twisted = n2_scenario.ideal("twisted-chi-l", {"l": 2, "c": -3})
+    # Built once per binding of the character's variables.
+    assert twisted is n2_scenario.ideal({"name": "twisted-chi-l", "l": "1 + 1"})
+    assert list(twisted.generators) == twisted_generators(character)
+    assert str(twisted.generators[0]) == "-z1*d1 + 2"
 
 
 def test_algebra_reference_by_name_or_object_gives_the_same_record():
@@ -728,6 +762,7 @@ FAILING_RAW = minimal_raw(
         "Doubled": {"generators": ["d1", "z2^2"]},
         "Shift": {"generators": ["z2 - {l}"]},
         "Wide": {"generators": ["z2"]},
+        "Twisted": {"twisted": "one"},
     },
     sections={"delta": "1", "zero": "z2", "d2delta": "d2"},
     polynomials={"one": "1", "z1": "z1"},
@@ -764,12 +799,7 @@ FAILING_RAW = minimal_raw(
         ),
         witness_check("is-subalgebra", "is_subalgebra", algebra="open"),
         witness_check("character-valid", "character_valid", character="bad"),
-        witness_check(
-            "twisted-containment", "twisted_containment", algebra="borel", character="one", ideal="Ann"
-        ),
-        witness_check(
-            "twisted-generates", "twisted_generates", algebra="borel", character="one", ideal="Ann"
-        ),
+        witness_check("twisted-in-ann", "ideal_contains", outer="Ann", inner="Twisted"),
         witness_check(
             "kernel-element",
             "kernel_element",
