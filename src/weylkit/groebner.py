@@ -15,6 +15,14 @@ monomials: one bisection per slot and an AND of bitmasks, whatever the basis
 size.  A reduced basis carries the index built with it, so an ideal's
 divisions never rebuild it; ``reduce_element`` builds one per call.
 
+A reduced basis also keeps a step table, filled as ``LeftIdeal.reduce``
+divides: for each monomial it has met, either "irreducible" or the divisor,
+the quotient and the terms of quotient * divisor with their heap keys.  A
+later read that meets the monomial again skips the divisor search, the
+product and the keys; the arithmetic is unchanged, so are the results.
+Buchberger, interreduction and ``reduce_element`` divide by a basis that
+grows or is used once, and stream each step's product instead.
+
 Buchberger's pair update works on packed exponent vectors: each leading
 monomial is packed once, when it enters the basis, into one int with a
 field per slot whose top bit is a guard bit.  Divisibility, lcm, coprimality
@@ -123,7 +131,8 @@ def reduce_element(
     ``element == sum(cofactors[i] * basis[i]) + normal_form`` when ``track``
     is set.  Terms are processed from the top down; the first basis element
     whose leading monomial divides wins.  The leading terms of ``basis`` are
-    indexed afresh on every call; ``LeftIdeal.reduce`` reuses its basis's index.
+    indexed afresh on every call and no step is kept; ``LeftIdeal.reduce``
+    reuses its basis's index and step table.
     """
     _same_ring(basis, type(element), element.ambient, "division")
     leading = _LeadingTerms(2 * element.ambient)
@@ -143,11 +152,16 @@ def _same_ring(elements: Sequence[SparseElement], kind: type, ambient: int, what
             raise ValueError(f"ambient mismatch in {what}")
 
 
+# A step-table entry for a monomial no leading monomial divides.
+_IRREDUCIBLE = "irreducible"
+
+
 def _divide(
     element: SparseElement,
     basis: Sequence[SparseElement],
     leading: _LeadingTerms,
     track: bool,
+    steps: dict | None = None,
 ):
     """``reduce_element`` on a checked basis, given its indexed leading terms.
 
@@ -160,6 +174,15 @@ def _divide(
     step's leading monomial, so a heap entry whose term has already cancelled
     or moved to the remainder is simply skipped; a term that cancels and
     then reappears is pushed again.
+
+    ``steps``, when given, is the step table of a basis that no longer
+    changes.  It maps each monomial this basis has divided to
+    ``_IRREDUCIBLE`` or to its divisor index, quotient, divisor leading
+    coefficient and the terms of quotient * basis[i] with their heap
+    entries.  The leading term is left out, as it cancels the popped term
+    exactly.  A step found there skips the divisor search, the quotient, the
+    product and the heap keys; the arithmetic and the order of the work are
+    the same, so the normal form and the cofactors are too.
     """
     heap_key = DEFAULT_ORDER.heap_key
     first_divisor = leading.first_divisor
@@ -175,18 +198,46 @@ def _divide(
         coeff = work.get(mono)
         if coeff is None:
             continue
-        i = first_divisor(mono)
-        if i < 0:
+        step = None if steps is None else steps.get(mono)
+        if step is None:
+            i = first_divisor(mono)
+            if i < 0:
+                step = _IRREDUCIBLE
+            else:
+                quotient = mono.quotient(monomials[i])
+                lc = coefficients[i]
+                if steps is None:
+                    # No table: stream the product straight into the work.
+                    factor = coeff if lc is None else _exact_quotient(coeff, lc)
+                    for term, c in basis[i]._left_terms(quotient, factor):
+                        acc = work.get(term)
+                        if acc is None:
+                            work[term] = -c
+                            heapq.heappush(heap, (heap_key(term), term))
+                        elif acc == c:
+                            del work[term]
+                        else:
+                            work[term] = acc - c
+                    cofactors[i][quotient] = factor
+                    continue
+                terms = basis[i]._left_terms(quotient, 1)
+                step = (i, quotient, lc, [
+                    (term, c, (heap_key(term), term)) for term, c in terms if term != mono
+                ])
+            if steps is not None:
+                steps[mono] = step
+        if step is _IRREDUCIBLE:
             remainder[mono] = work.pop(mono)
             continue
-        quotient = mono.quotient(monomials[i])
-        lc = coefficients[i]
+        i, quotient, lc, terms = step
         factor = coeff if lc is None else _exact_quotient(coeff, lc)
-        for term, c in basis[i]._left_terms(quotient, factor):
+        del work[mono]
+        for term, c, entry in terms:
+            c *= factor
             acc = work.get(term)
             if acc is None:
                 work[term] = -c
-                heapq.heappush(heap, (heap_key(term), term))
+                heapq.heappush(heap, entry)
             elif acc == c:
                 del work[term]
             else:
@@ -276,10 +327,12 @@ class GroebnerBasis:
     """Reduced left Groebner basis, monic, sorted ascending by leading monomial.
 
     ``leading`` indexes the leading terms of ``elements`` for division and is
-    built with them; no index is added to after a basis holds it.  The
-    counters describe the Buchberger run that built it: S-pairs reduced, how
-    many of those reduced to zero, and pairs skipped by the chain and by the
-    product (commuting generators) criterion.
+    built with them; no index is added to after a basis holds it.  ``_steps``
+    is the step table that ``LeftIdeal.reduce`` fills as it divides (see
+    ``_divide``); it lives as long as the basis.  The counters describe the
+    Buchberger run that built it: S-pairs reduced, how many of those reduced
+    to zero, and pairs skipped by the chain and by the product (commuting
+    generators) criterion.
     """
 
     elements: tuple[SparseElement, ...]
@@ -288,6 +341,7 @@ class GroebnerBasis:
     reductions_to_zero: int
     pairs_skipped_chain: int
     pairs_skipped_commuting: int
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(self.leading.monomials)
@@ -496,10 +550,11 @@ class LeftIdeal:
 
     def reduce(self, element: SparseElement, track: bool = False):
         """Left division of ``element``, of this ideal's ring, by the basis;
-        returns as ``reduce_element``."""
+        returns as ``reduce_element``.  Each step reuses the basis's step
+        table, so a monomial any earlier call divided costs no new product."""
         _same_ring((element,), self._kind, self._ambient, "division")
         basis = self.groebner_basis()
-        return _divide(element, basis.elements, basis.leading, track)
+        return _divide(element, basis.elements, basis.leading, track, basis._steps)
 
     def contains(self, element: SparseElement) -> bool:
         return self.reduce(element).is_zero()

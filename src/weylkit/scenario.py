@@ -588,9 +588,12 @@ class Scenario:
     def ideal(self, ref: Any, scope: Mapping[str, int] | None = None) -> LeftIdeal:
         key, label, spec, scope = self._lookup("ideal", ref, scope)
         if key not in self._cache:
-            # The character names itself in its own errors.
+            # The character names itself in its own errors.  The twisted
+            # system of the zero subalgebra is the zero ideal.
             if "twisted" in spec:
-                generators = twisted_generators(self.character(spec["twisted"], scope))
+                generators = twisted_generators(
+                    self.character(spec["twisted"], scope)
+                ) or [WeylElement.zero(self.ambient)]
             with self._naming(label, scope):
                 if "twisted" not in spec:
                     generators = [

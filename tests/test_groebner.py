@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -30,10 +31,15 @@ from weylkit import (
 )
 from weylkit import Scenario, groebner
 from weylkit.charvar import graded_ideal
-from weylkit.groebner import _LeadingTerms, _PackedExponents, _interreduce
+from weylkit.groebner import (
+    _LeadingTerms,
+    _PackedExponents,
+    _ideal_from_reduced_basis,
+    _interreduce,
+)
 from weylkit.monomial import z_monomial
 from weylkit.poly import poly_z
-from weylkit.weyl import WeylElement, d, z
+from weylkit.weyl import WeylElement, d, principal_symbol, z
 
 
 def ideal(*texts: str, ambient: int) -> LeftIdeal:
@@ -517,6 +523,98 @@ def test_ideal_reduce_matches_oracle_and_checks_its_input(n2_scenario):
         reduce_element(z(1, 3), basis.elements)
     with pytest.raises(ValueError, match="zero divisor"):
         reduce_element(z(1, 4), [d(1, 4), WeylElement.zero(4)])
+
+
+# Paper ideals whose reads go through a step table: (scenario, ideal, l).
+TABLE_IDEALS = [
+    ("n3_scenario", "I1l", 2),
+    ("n3_scenario", "I3", None),
+    ("n2_scenario", "I3", None),
+    ("n2_scenario", "I1l", 1),
+]
+
+
+def _cold_copy(ideal: LeftIdeal) -> LeftIdeal:
+    """The same reduced basis and index behind an empty step table."""
+    basis = ideal.groebner_basis()
+    return _ideal_from_reduced_basis(basis.elements, basis.leading)
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("scenario, name, l", TABLE_IDEALS)
+def test_the_step_table_changes_no_result(request, scenario, name, l, graded):
+    source = request.getfixturevalue(scenario).ideal(name, {} if l is None else {"l": l})
+    if graded:
+        source = graded_ideal(source)
+    basis = source.groebner_basis().elements
+    rng = random.Random(f"weylkit-step-table:{name}:{l}:{graded}")
+    queries = list(_division_queries(rng, list(basis), type(basis[0]), 10))
+
+    def printed(out, track):
+        return (str(out[0]), [str(c) for c in out[1]]) if track else str(out)
+
+    for track in (False, True):
+        ideal = _cold_copy(source)
+        for _ in ("cold", "warm"):
+            for x in queries:
+                got = ideal.reduce(x, track=track)
+                want = reduce_element(x, basis, track=track)
+                assert got == want
+                assert printed(got, track) == printed(want, track)
+        assert ideal.groebner_basis()._steps
+
+
+def test_the_step_table_is_filled_once_and_owned_by_its_basis(n3_scenario):
+    ideal = _cold_copy(n3_scenario.ideal("I1l", {"l": 1}))
+    steps = ideal.groebner_basis()._steps
+    rng = random.Random("weylkit-step-table:once")
+    for x in _division_queries(rng, list(ideal.groebner_basis().elements), WeylElement, 6):
+        ideal.reduce(x)
+        filled = dict(steps)
+        ideal.reduce(x)
+        ideal.reduce(x, track=True)
+        assert steps == filled
+    # The graded ideal shares the operator basis's index but not its table:
+    # a symbol read must not replay the Weyl products of operator steps.
+    # d3 * g = z3*d3^2 + z5*d3*d5 + 2*d3 divides z3*d3^2 by g, whose symbol
+    # step leaves no 2*zeta3.
+    graded = graded_ideal(ideal)
+    g = parse_expression("z3*d3 + z5*d5 + 1", ambient=6)
+    assert g in ideal.groebner_basis().elements
+    x = d(3, 6) * g
+    assert ideal.contains(x)
+    symbol = principal_symbol(x)
+    assert graded.reduce(symbol) == reduce_element(symbol, graded.groebner_basis().elements)
+    assert graded.contains(symbol)
+
+
+@pytest.mark.parametrize("name, l", [("I1l", 0), ("I1l", 1), ("I1l", 2), ("I1l", 3), ("I3", None)])
+def test_graded_bases_and_normal_forms_match_sympy(n2_scenario, name, l):
+    sympy = pytest.importorskip("sympy")
+    graded = graded_ideal(n2_scenario.ideal(name, {} if l is None else {"l": l}))
+    basis = graded.groebner_basis().elements
+    m = graded.ambient
+    # sympy's grevlex on z1..zm, zeta1..zetam is the engine's slot order.
+    gens = sympy.symbols(f"z1:{m + 1} zeta1:{m + 1}")
+
+    def to_sympy(element):
+        terms = {mono.slots(): sympy.Rational(str(c)) for mono, c in element.terms.items()}
+        return sympy.Poly.from_dict(terms, *gens, domain="QQ").as_expr()
+
+    def engine_terms(element) -> list:
+        return sorted((mono.slots(), Fraction(c)) for mono, c in element.terms.items())
+
+    def sympy_terms(expr) -> list:
+        poly = sympy.Poly(expr, *gens, domain="QQ")
+        return sorted((mono, Fraction(int(c.p), int(c.q))) for mono, c in poly.terms() if c)
+
+    oracle = sympy.groebner([to_sympy(g) for g in basis], *gens, order="grevlex", domain="QQ")
+    assert sorted(map(engine_terms, basis)) == sorted(map(sympy_terms, oracle.exprs))
+    rng = random.Random(f"weylkit-sympy-oracle:{name}:{l}")
+    for x in _division_queries(rng, list(basis), Poly, 50):
+        _, remainder = sympy.reduced(to_sympy(x), oracle.exprs, *gens, order="grevlex")
+        for _ in ("cold", "warm"):
+            assert engine_terms(graded.reduce(x)) == sympy_terms(remainder)
 
 
 def _first_divisor_by_scan(leading, mono):

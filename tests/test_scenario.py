@@ -421,6 +421,8 @@ MALFORMED = {
         },
         "check 'c1', field 'targets': target element must be an expression string",
     ),
+    # The zero ideal is written "0"; an empty list is refused.
+    "generators-empty": ({"ideals": {"J": {"generators": []}}}, "ideal 'J' needs a generator list"),
     # A twisted ideal names one character and nothing else.
     "twisted-unknown-character": (
         {"ideals": {"T": {"twisted": "chi"}}},
@@ -730,6 +732,18 @@ def test_a_twisted_entry_is_the_twisted_system_of_its_character(n2_scenario):
     assert twisted is n2_scenario.ideal({"name": "twisted-chi-l", "l": "1 + 1"})
     assert list(twisted.generators) == twisted_generators(character)
     assert str(twisted.generators[0]) == "-z1*d1 + 2"
+
+
+def test_the_twisted_system_of_the_zero_subalgebra_is_the_zero_ideal():
+    scenario = Scenario(
+        minimal_raw(
+            subalgebras={"z": {"basis": []}},
+            characters={"c0": {"algebra": "z", "values": []}},
+            ideals={"T0": {"twisted": "c0"}},
+        )
+    )
+    element = scenario.expression("z1*d1")
+    assert scenario.ideal("T0").reduce(element) == element
 
 
 def test_algebra_reference_by_name_or_object_gives_the_same_record():
