@@ -37,7 +37,6 @@ from .groebner import (
     PairLimitExceeded,
     buchberger,
     reduce_element,
-    s_polynomial,
 )
 from .lie import (
     Character,
@@ -109,7 +108,6 @@ __all__ = [
     "render_markdown",
     "rho",
     "run_scenario",
-    "s_polynomial",
     "section_from_operator",
     "simplicity_certificate",
     "strip_timing",

@@ -45,7 +45,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, getitem
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .base import Scalar, SparseElement, _accumulate, _exact_quotient
 from .monomial import Monomial
@@ -140,7 +140,7 @@ def reduce_element(
         if g.is_zero():
             raise ValueError("zero divisor in basis")
         leading.add(g.leading_monomial(), g.leading_coefficient())
-    return _divide(element, basis, leading, track)
+    return _divide(dict(element._terms), element._make, basis, leading, track)
 
 
 def _same_ring(elements: Sequence[SparseElement], kind: type, ambient: int, what: str) -> None:
@@ -157,7 +157,8 @@ _IRREDUCIBLE = "irreducible"
 
 
 def _divide(
-    element: SparseElement,
+    work: dict[Monomial, Scalar],
+    make: Callable[[dict[Monomial, Scalar]], SparseElement],
     basis: Sequence[SparseElement],
     leading: _LeadingTerms,
     track: bool,
@@ -165,8 +166,11 @@ def _divide(
 ):
     """``reduce_element`` on a checked basis, given its indexed leading terms.
 
-    The live terms sit in a dict and their monomials in a heap that pops the
-    largest first (Monagan-Pearce style).  The divisor of a popped term comes
+    The dividend is ``work``, a dict of terms that the division consumes, so
+    Buchberger can accumulate an S-pair there; ``make``, the ``_make`` of any
+    element of the ring, wraps the results.  The live terms stay in ``work``
+    and their monomials sit in a heap that pops the largest first
+    (Monagan-Pearce style).  The divisor of a popped term comes
     from the bitmask index of ``leading`` (Bachmann-Schoenemann style), not a
     scan of the basis, and a monic divisor needs no scalar division.  Each
     step subtracts the terms of quotient * basis[i] one by one, straight from
@@ -188,7 +192,6 @@ def _divide(
     first_divisor = leading.first_divisor
     monomials = leading.monomials
     coefficients = leading.coefficients
-    work = dict(element.terms)
     heap = [(heap_key(mono), mono) for mono in work]
     heapq.heapify(heap)
     remainder: dict[Monomial, Scalar] = {}
@@ -244,21 +247,8 @@ def _divide(
                 work[term] = acc - c
         cofactors[i][quotient] = factor
     if track:
-        return element._make(remainder), [element._make(cof) for cof in cofactors]
-    return element._make(remainder)
-
-
-def s_polynomial(f: SparseElement, g: SparseElement) -> SparseElement:
-    """left * f - right * g with the monomial multipliers that cancel both
-    leading terms at their lcm, built in one dict."""
-    f._require_same(g)
-    lm_f = f.leading_monomial()
-    lm_g = g.leading_monomial()
-    lcm = lm_f.lcm(lm_g)
-    out: dict[Monomial, Scalar] = {}
-    _accumulate(out, f._left_terms(lcm.quotient(lm_f), _exact_quotient(1, f.terms[lm_f])))
-    _accumulate(out, g._left_terms(lcm.quotient(lm_g), _exact_quotient(-1, g.terms[lm_g])))
-    return f._make(out)
+        return make(remainder), [make(cof) for cof in cofactors]
+    return make(remainder)
 
 
 class _PackedExponents:
@@ -362,7 +352,9 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     * an element whose leading monomial h's divides gets no further pairs.
 
     The remaining pairs are reduced in normal-selection order (the term order
-    on the lcm, then age).  Every pair of basis elements is counted once:
+    on the lcm, then age).  No S-polynomial is built: the monic multiples
+    u * f and v * g go term by term into the division's work dict, where
+    their lcm terms cancel.  Every pair of basis elements is counted once:
     in ``pairs_processed`` when reduced, else in ``pairs_skipped_chain`` or
     ``pairs_skipped_commuting``.  A budget of reduced pairs from the
     WEYLKIT_GB_MAX_PAIRS environment variable aborts runaway computations.
@@ -471,7 +463,11 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
                 f"Groebner pair budget of {limit} exhausted "
                 f"(set {PAIR_LIMIT_ENV} to raise it)"
             )
-        remainder = _divide(s_polynomial(basis[i], basis[j]), basis, leading, False)
+        lcm = lms[i].lcm(lms[j])
+        work: dict[Monomial, Scalar] = {}
+        _accumulate(work, basis[i]._left_terms(lcm.quotient(lms[i]), 1))
+        _accumulate(work, basis[j]._left_terms(lcm.quotient(lms[j]), -1))
+        remainder = _divide(work, basis[i]._make, basis, leading, False)
         if remainder.is_zero():
             zero_reductions += 1
         else:
@@ -500,7 +496,7 @@ def _interreduce(
         # Minimal first: drop anything whose leading monomial another one divides.
         if leading.first_divisor(lm) >= 0:
             continue
-        g = _divide(g, reduced, leading, False)
+        g = _divide(dict(g._terms), g._make, reduced, leading, False)
         if g.is_zero() or g.leading_monomial() != lm:
             raise AssertionError("minimal basis element lost its leading term")
         g = g.monic()
@@ -554,7 +550,9 @@ class LeftIdeal:
         table, so a monomial any earlier call divided costs no new product."""
         _same_ring((element,), self._kind, self._ambient, "division")
         basis = self.groebner_basis()
-        return _divide(element, basis.elements, basis.leading, track, basis._steps)
+        return _divide(
+            dict(element._terms), element._make, basis.elements, basis.leading, track, basis._steps
+        )
 
     def contains(self, element: SparseElement) -> bool:
         return self.reduce(element).is_zero()

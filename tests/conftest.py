@@ -17,6 +17,7 @@ SEEDS = {
     "module": "weylkit-module-axioms",
     "bernstein": "weylkit-bernstein-inequality",
     "fourier": "weylkit-fourier-involution",
+    "monomial-multiplicity": "weylkit-monomial-multiplicity",
 }
 
 

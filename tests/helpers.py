@@ -4,12 +4,16 @@ The oracles deliberately avoid the engine's closed-form algorithms:
 
 * normal ordering is recomputed by one-swap rewriting on generator words,
 * Hilbert data is recomputed by brute-force counting of standard monomials
-  and by the recursion on the largest generator,
+  and by the recursion on the largest generator; the latter's numerator,
+  with its (1 - t) factors stripped, gives the dimension and multiplicity
+  that the engine counts over its minimum slot covers,
 * independent slot sets are recomputed by trying every subset of the slots,
 * the action on polynomials is recomputed with a formal z-derivative and
   multiplication,
 * left division is recomputed by the textbook loop that rescans for the
   leading term and rebuilds the element after every step,
+* S-polynomials are built as whole elements, which ``buchberger`` never
+  does, so the final bases' S-pairs are re-checked by code it does not share,
 * Groebner bases are recomputed by Buchberger's algorithm with no pair
   criterion, reducing every S-pair, and interreduced by tail-reducing every
   element against all others until nothing moves,
@@ -28,12 +32,13 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from weylkit import (
     DEFAULT_ORDER,
     DeltaModule,
     GroebnerBasis,
+    ImproperIdealError,
     LeftIdeal,
     Monomial,
     Poly,
@@ -41,11 +46,13 @@ from weylkit import (
     act,
     act_on_polynomial,
     delta,
+    krull_dimension,
+    multiplicity,
     partial_fourier,
     reduce_element,
-    s_polynomial,
     section_from_operator,
 )
+from weylkit.base import _accumulate, _exact_quotient
 from weylkit.groebner import _divide, _interreduce, _LeadingTerms
 from weylkit.linalg import mat_mul, rank, solve
 from weylkit.weyl import d as d_op, z as z_op
@@ -198,6 +205,65 @@ def hilbert_numerator_by_largest_generator(gens: list[tuple[int, ...]]) -> list[
     return numerator(gens)
 
 
+def dimension_and_multiplicity_by_numerator(
+    leading: list[tuple[int, ...]], slots: int
+) -> tuple[int, int] | None:
+    """Pole order and value at 1 of the largest-generator numerator over
+    (1 - t)^slots, once every (1 - t) factor is stripped; None for the unit
+    ideal, whose numerator is 0."""
+    numerator = hilbert_numerator_by_largest_generator(leading)
+    if not any(numerator):
+        return None
+    while sum(numerator) == 0:
+        # numerator = (1 - t) q with q_i = a_0 + ... + a_i; the last sum is 0.
+        numerator = list(accumulate(numerator))[:-1]
+        slots -= 1
+    return slots, sum(numerator)
+
+
+def monomial_ideal(leading: list[tuple[int, ...]], m: int) -> LeftIdeal:
+    """Symbol ideal generated by the monomials with these 2m exponents."""
+    gens = [Poly.from_monomial(Monomial(lm[:m], lm[m:])) for lm in leading]
+    return LeftIdeal(gens or [Poly.zero(m)])
+
+
+def assert_dimension_and_multiplicity(graded: LeftIdeal, expected: tuple[int, int] | None):
+    """The engine's dimension and multiplicity, or ImproperIdealError from
+    both when ``expected`` is None."""
+    if expected is not None:
+        assert (krull_dimension(graded), multiplicity(graded)) == expected
+        return
+    for measure in (krull_dimension, multiplicity):
+        try:
+            measure(graded)
+        except ImproperIdealError:
+            continue
+        raise AssertionError(f"{measure.__name__} accepted a unit ideal")
+
+
+def check_multiplicity_on_monomial_ideals(seed: str, rounds: int) -> int:
+    """Dimension and multiplicity of random monomial ideals (ambient 1-3,
+    1-7 generators on 1-3 slots, exponents up to 12) equal those of the
+    largest-generator numerator; the unit ideal is refused."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        m = rng.randint(1, 3)
+        leading = []
+        for _ in range(rng.randint(1, 7)):
+            exps = [0] * (2 * m)
+            for slot in rng.sample(range(2 * m), rng.randint(1, min(3, 2 * m))):
+                exps[slot] = rng.choice((1, 2, rng.randint(1, 12)))
+            leading.append(tuple(exps))
+        if rng.random() < 0.02:
+            leading.append((0,) * (2 * m))
+        expected = dimension_and_multiplicity_by_numerator(leading, 2 * m)
+        try:
+            assert_dimension_and_multiplicity(monomial_ideal(leading, m), expected)
+        except AssertionError as exc:
+            raise AssertionError(f"{leading}: {exc}") from exc
+    return rounds
+
+
 def independent_sets_by_enumeration(
     leading: list[tuple[int, ...]], slots: int
 ) -> tuple[int, list[frozenset[int]]]:
@@ -325,6 +391,20 @@ def fixpoint_interreduce(basis):
     return sorted(minimal, key=lead_key)
 
 
+def s_polynomial(f, g):
+    """u * f - v * g with the monomial multipliers u, v that cancel both
+    leading terms at their lcm, built as one element; ``buchberger`` never
+    builds it and reduces the two multiples straight from its work dict."""
+    f._require_same(g)
+    lm_f = f.leading_monomial()
+    lm_g = g.leading_monomial()
+    lcm = lm_f.lcm(lm_g)
+    out = {}
+    _accumulate(out, f._left_terms(lcm.quotient(lm_f), _exact_quotient(1, f.terms[lm_f])))
+    _accumulate(out, g._left_terms(lcm.quotient(lm_g), _exact_quotient(-1, g.terms[lm_g])))
+    return f._make(out)
+
+
 def textbook_buchberger(generators) -> tuple:
     """Reduced left Groebner basis with no pair criterion.
 
@@ -435,7 +515,8 @@ def reference_buchberger(generators) -> GroebnerBasis:
         if pending.pop((i, j), None) is None:
             continue
         processed += 1
-        remainder = _divide(s_polynomial(basis[i], basis[j]), basis, leading, False)
+        spoly = s_polynomial(basis[i], basis[j])
+        remainder = _divide(dict(spoly.terms), spoly._make, basis, leading, False)
         if remainder.is_zero():
             zero_reductions += 1
         else:

@@ -13,14 +13,18 @@ import pytest
 
 from conftest import SEEDS
 from helpers import (
+    assert_dimension_and_multiplicity,
     check_bernstein_inequality,
     check_groebner_spairs,
+    check_multiplicity_on_monomial_ideals,
+    dimension_and_multiplicity_by_numerator,
     finite_difference,
     fresh_index,
     hilbert_by_counting,
     hilbert_numerator_by_largest_generator,
     independent_sets_by_enumeration,
     index_state,
+    monomial_ideal,
     random_element,
 )
 from weylkit import (
@@ -36,10 +40,15 @@ from weylkit import (
     krull_dimension,
     multiplicity,
     parse_expression,
+    parse_polynomial,
     principal_symbol,
     simplicity_certificate,
 )
-from weylkit.charvar import _hilbert_numerator, _independent_analysis
+from weylkit.charvar import _independent_analysis
+from weylkit.groebner import _ideal_from_reduced_basis
+from weylkit.monomial import MAX_AMBIENT
+from weylkit.orders import DEFAULT_ORDER
+from weylkit.poly import poly_zeta
 from weylkit.weyl import WeylElement
 
 
@@ -161,17 +170,23 @@ def test_bernstein_inequality_on_random_ideals():
 
 @pytest.mark.parametrize("slots", [2, 4, 6])
 def test_hilbert_numerator_matches_counting(slots):
-    # numerator / (1 - t)^slots, expanded up to dmax, counts the standard
-    # monomials degree by degree; the pivot recursion also equals the
-    # largest-generator recursion term for term.
+    # The largest-generator numerator over (1 - t)^slots, expanded up to
+    # dmax, counts the standard monomials degree by degree; with its (1 - t)
+    # factors stripped, its pole order and value at 1 are the dimension and
+    # multiplicity the engine finds from the minimum slot covers.
     rng = random.Random(f"weylkit-hilbert-numerator:{slots}")
     dmax = 8
-    for _ in range(25):
-        gens = [
+    m = slots // 2
+    pad = (0,) * (slots - 2)
+    # (x^3, y^3, x*y^2, x^2*y) on the first two slots: the count runs over
+    # the mixed exponents, which the random draws rarely reach.
+    mixed = [(3, 0) + pad, (0, 3) + pad, (1, 2) + pad, (2, 1) + pad]
+    for draw in range(26):
+        gens = mixed if draw == 25 else [
             tuple(rng.randint(0, 3) for _ in range(slots))
             for _ in range(rng.randint(1, 6))
         ]
-        numerator = _hilbert_numerator(gens)
+        numerator = hilbert_numerator_by_largest_generator(gens)
         series = [
             sum(
                 c * comb(degree - i + slots - 1, slots - 1)
@@ -180,9 +195,51 @@ def test_hilbert_numerator_matches_counting(slots):
             for degree in range(dmax + 1)
         ]
         assert series == hilbert_by_counting(gens, slots, dmax)
-        assert numerator == hilbert_numerator_by_largest_generator(gens), gens
-    assert _hilbert_numerator([]) == [1]
-    assert _hilbert_numerator([(0,) * slots, (1,) * slots]) == [0]
+        expected = dimension_and_multiplicity_by_numerator(gens, slots)
+        assert_dimension_and_multiplicity(monomial_ideal(gens, m), expected)
+    assert_dimension_and_multiplicity(monomial_ideal([], m), (slots, 1))
+    unit = monomial_ideal([(0,) * slots, (1,) * slots], m)
+    with pytest.raises(ImproperIdealError):
+        krull_dimension(unit)
+    with pytest.raises(ImproperIdealError):
+        multiplicity(unit)
+
+
+def test_multiplicity_matches_the_numerator_on_random_monomial_ideals():
+    assert check_multiplicity_on_monomial_ideals(SEEDS["monomial-multiplicity"], 2000) == 2000
+
+
+def test_multiplicity_sums_over_exponentially_many_covers():
+    """z_i*zeta_i for i = 1..14: 2^14 minimum covers, each of count 1."""
+    texts = [f"z{i}*d{i}" for i in range(1, 15)]
+    graded = graded_ideal(ideal(*texts, ambient=14))
+    assert (krull_dimension(graded), multiplicity(graded)) == (14, 2**14)
+
+
+@pytest.mark.parametrize(
+    ("texts", "ambient", "expected"),
+    [
+        (("z1^1000000", "zeta1^1000000"), 1, 10**12),
+        (("z1^1000000", "zeta1^1000000", "z2^999999", "zeta2^3"), 2, 2999997000000000000),
+        (("z1^1000000", "z2^999999*zeta2^3"), 2, 1000002000000),
+    ],
+)
+def test_huge_exponents_give_exact_multiplicities(texts, ambient, expected):
+    """Each count is a product of exponents, never a series of their size."""
+    graded = LeftIdeal([parse_polynomial(t, ambient=ambient) for t in texts])
+    assert multiplicity(graded) == expected
+
+
+def test_dimension_and_multiplicity_at_the_largest_ambient():
+    """(zeta1, ..., zeta1000) as its own reduced basis: every slot it needs is
+    a one-slot support, so no search goes a level per variable."""
+    m = MAX_AMBIENT
+    elements = sorted(
+        (poly_zeta(i, m) for i in range(1, m + 1)),
+        key=lambda g: DEFAULT_ORDER.key(g.leading_monomial()),
+    )
+    graded = _ideal_from_reduced_basis(elements, fresh_index(elements))
+    assert (krull_dimension(graded), multiplicity(graded)) == (m, 1)
 
 
 PAPER_IDEALS = pytest.mark.parametrize(
@@ -246,7 +303,9 @@ def test_independent_analysis_and_hilbert_numerator_match_the_oracles(request, s
     leading = [lm.slots() for lm in basis.leading_monomials()]
     m = ideal.ambient
     assert _independent_analysis(basis, m) == independent_sets_by_enumeration(leading, 2 * m)
-    assert _hilbert_numerator(leading) == hilbert_numerator_by_largest_generator(leading)
+    assert_dimension_and_multiplicity(
+        graded_ideal(ideal), dimension_and_multiplicity_by_numerator(leading, 2 * m)
+    )
 
 
 def monomial_basis(leading: list[tuple[int, ...]], m: int) -> GroebnerBasis:

@@ -108,6 +108,12 @@ def test_charvar_fixture(capsys):
     assert "graded ideal generators:" in out
 
 
+def test_charvar_multiplicity_of_huge_exponents(capsys):
+    code, out, _ = run(capsys, "charvar", "z1^1000000; z2^999999*d2^3")
+    assert code == 0
+    assert "dimension: 2\nmultiplicity: 1000002000000\n" in out
+
+
 @pytest.mark.parametrize(
     ("scenario", "dimension", "multiplicity"), [("paper-n2", 4, 4), ("paper-n3", 6, 16)]
 )

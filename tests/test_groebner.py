@@ -15,6 +15,7 @@ from helpers import (
     naive_reduce,
     random_element,
     reference_buchberger,
+    s_polynomial,
     textbook_buchberger,
 )
 from weylkit import (
@@ -27,7 +28,6 @@ from weylkit import (
     parse_expression,
     reduce_element,
     run_scenario,
-    s_polynomial,
 )
 from weylkit import Scenario, groebner
 from weylkit.charvar import graded_ideal
