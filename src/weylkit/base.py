@@ -11,11 +11,14 @@ matrix entries, structure constants, character values and points by the same
 rule, through ``_coefficient`` and ``_exact_quotient``.
 
 Subclasses supply a printing dialect and the ring product of two monomials
-through ``_term_product``, which yields (monomial, int) pairs.  Every product
-runs through one kernel, ``_left_terms``: the terms of (coeff * mono) * self,
-one term of self at a time, with monomials that may repeat.  ``*``, division
-and S-polynomials accumulate those terms straight into a dict.  A subclass
-may override the kernel with a shorter path that yields the same terms.
+through ``_term_product``, which yields (monomial, int) pairs.  Products of
+elements run through one kernel, ``_left_terms``: the terms of
+(coeff * mono) * self, one term of self at a time, with monomials that may
+repeat.  ``*`` and division accumulate those terms straight into a dict.  A
+subclass may override the kernel with a shorter path that yields the same
+terms.  Buchberger does not call it: it multiplies packed exponents (see
+``groebner._PackedExponents``) through each ring's ``_packed_left_terms``,
+the same product on ints.
 """
 
 from __future__ import annotations

@@ -10,26 +10,27 @@ monomials) holds only for generators that commute, which disjoint variable
 support guarantees; the coprime shortcut alone fails already for the pair
 (d1, z1).
 
-Division finds its divisor through a per-slot index of the basis leading
-monomials: one bisection per slot and an AND of bitmasks, whatever the basis
-size.  A reduced basis carries the index built with it, so an ideal's
-divisions never rebuild it; ``reduce_element`` builds one per call.
+Reads divide on ``Monomial`` tuples.  They find the divisor through a
+per-slot index of the basis leading monomials: one bisection per slot and an
+OR of bitmasks, whatever the basis size.  A reduced basis carries the index
+built with it, so an ideal's divisions never rebuild it; ``reduce_element``
+builds one per call.  A reduced basis also keeps a step table, filled as
+``LeftIdeal.reduce`` divides: for each monomial it has met, either
+"irreducible" or the divisor, the quotient and the terms of quotient *
+divisor with their heap keys.  A later read that meets the monomial again
+skips the divisor search, the product and the keys; the arithmetic is
+unchanged, so are the results.  ``reduce_element`` fills a fresh table.
 
-A reduced basis also keeps a step table, filled as ``LeftIdeal.reduce``
-divides: for each monomial it has met, either "irreducible" or the divisor,
-the quotient and the terms of quotient * divisor with their heap keys.  A
-later read that meets the monomial again skips the divisor search, the
-product and the keys; the arithmetic is unchanged, so are the results.
-Buchberger, interreduction and ``reduce_element`` divide by a basis that
-grows or is used once, and stream each step's product instead.
-
-Buchberger's pair update works on packed exponent vectors: each leading
-monomial is packed once, when it enters the basis, into one int with a
-field per slot whose top bit is a guard bit.  Divisibility, lcm, coprimality
-and the degrevlex key of an lcm then take a few integer operations, with no
-Monomial built per pair.  The field width follows the run's own degrees:
-when a leading monomial of higher degree arrives, the run repacks what it
-holds with wider fields, so a 10**9 exponent takes the same path.
+Buchberger runs on packed exponent vectors from end to end: every term of
+every generator is packed once into one int with a field per slot whose top
+bit is a guard bit.  The pair update, the S-pairs, the divisions and the
+interreduction then work on those ints: divisibility, lcm, coprimality and
+the degrevlex key take a few integer operations, a product of commuting
+terms is a sum, and the ring's ``_packed_left_terms`` reorders the others.
+Monomials are built once, for the reduced basis.  The field width follows
+the run's own degrees: when a leading monomial of higher degree arrives, the
+run repacks what it holds with wider fields, so a 10**9 exponent takes the
+same path.
 
 Chain criterion in G-algebras: V. Levandovskyy, PhD thesis, Kaiserslautern 2005.
 Pair update: R. Gebauer and H. M. Moeller, J. Symbolic Comput. 6 (1988).
@@ -44,7 +45,8 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_, getitem
+from itertools import compress
+from operator import getitem, or_
 from typing import Callable, Sequence
 
 from .base import Scalar, SparseElement, _accumulate, _exact_quotient
@@ -75,48 +77,57 @@ def _pair_limit() -> int | None:
 class _LeadingTerms:
     """Leading terms of a basis in list order, indexed for divisibility.
 
-    For each slot the index keeps the sorted distinct exponents the leading
-    monomials have there, starting at 0, and a parallel list of bitmasks: bit
-    i is set when leading monomial i has at most that exponent.  Each mask
-    list starts with a 0 pad so that ``bisect_right`` indexes it directly.
-    The AND over the slots of the masks a monomial's exponents select holds
-    exactly the leading monomials dividing it; the lowest set bit is the
-    first of them in list order.  The index grows with the number of leading
-    monomials times the number of slots, never with an exponent's size.
-    A leading coefficient of 1 is recorded as None, so division by a monic
-    element skips the scalar division.
+    For each slot the index keeps the sorted distinct nonzero exponents the
+    leading monomials have there, and a parallel list of bitmasks one longer:
+    entry k has bit i set when leading monomial i has at least the k-th of
+    those exponents there, and the last entry is 0.  So ``bisect_right`` on
+    a monomial's exponent in a slot picks the mask of the leading monomials
+    whose exponent there exceeds it.  A leading monomial divides iff no slot
+    picks it: ``_all`` minus the OR of the picked masks holds exactly the
+    divisors, and its lowest set bit is the first of them in list order.
+    Zero exponents leave a slot untouched, so ``add`` works on its
+    monomial's support only, and the index grows with the supports of the
+    leading monomials, never with an exponent's size.  A leading coefficient
+    of 1 is recorded as None, so division by a monic element skips the
+    scalar division.
     """
 
-    __slots__ = ("monomials", "coefficients", "_exps", "_masks", "_all")
+    __slots__ = ("monomials", "coefficients", "_exps", "_over", "_all", "_positions")
 
     def __init__(self, slots: int):
         self.monomials: list[Monomial] = []
         self.coefficients: list[Scalar | None] = []
-        self._exps = [[0] for _ in range(slots)]
-        self._masks = [[0, 0] for _ in range(slots)]
+        self._exps: list[list[int]] = [[] for _ in range(slots)]
+        self._over = [[0] for _ in range(slots)]
         self._all = 0
+        self._positions = tuple(range(slots))
 
     def add(self, lm: Monomial, lc: Scalar) -> None:
         bit = 1 << len(self.monomials)
         self.monomials.append(lm)
         self.coefficients.append(None if lc == 1 else lc)
-        for exps, masks, e in zip(self._exps, self._masks, lm.zexp + lm.dexp):
+        slots = lm.zexp + lm.dexp
+        for s in compress(self._positions, slots):
+            e = slots[s]
+            exps = self._exps[s]
+            over = self._over[s]
             k = bisect_left(exps, e)
             if k == len(exps) or exps[k] != e:
-                # A new exponent inherits the mask of the one below it.
+                # A new exponent starts with the mask of the next larger one.
                 exps.insert(k, e)
-                masks.insert(k + 1, masks[k])
-            for j in range(k + 1, len(masks)):
-                masks[j] |= bit
+                over.insert(k, over[k])
+            for j in range(k + 1):
+                over[j] |= bit
         self._all |= bit
 
     def first_divisor(self, mono: Monomial) -> int:
         """Index of the first leading monomial dividing ``mono``, else -1."""
-        bits = reduce(
-            and_,
-            map(getitem, self._masks, map(bisect_right, self._exps, mono.zexp + mono.dexp)),
-            self._all,
+        above = reduce(
+            or_,
+            map(getitem, self._over, map(bisect_right, self._exps, mono.zexp + mono.dexp)),
+            0,
         )
+        bits = self._all & ~above
         return (bits & -bits).bit_length() - 1
 
 
@@ -131,8 +142,8 @@ def reduce_element(
     ``element == sum(cofactors[i] * basis[i]) + normal_form`` when ``track``
     is set.  Terms are processed from the top down; the first basis element
     whose leading monomial divides wins.  The leading terms of ``basis`` are
-    indexed afresh on every call and no step is kept; ``LeftIdeal.reduce``
-    reuses its basis's index and step table.
+    indexed afresh on every call, with a fresh step table;
+    ``LeftIdeal.reduce`` reuses its basis's index and step table.
     """
     _same_ring(basis, type(element), element.ambient, "division")
     leading = _LeadingTerms(2 * element.ambient)
@@ -140,7 +151,7 @@ def reduce_element(
         if g.is_zero():
             raise ValueError("zero divisor in basis")
         leading.add(g.leading_monomial(), g.leading_coefficient())
-    return _divide(dict(element._terms), element._make, basis, leading, track)
+    return _divide(dict(element._terms), element._make, basis, leading, track, {})
 
 
 def _same_ring(elements: Sequence[SparseElement], kind: type, ambient: int, what: str) -> None:
@@ -162,31 +173,28 @@ def _divide(
     basis: Sequence[SparseElement],
     leading: _LeadingTerms,
     track: bool,
-    steps: dict | None = None,
+    steps: dict,
 ):
-    """``reduce_element`` on a checked basis, given its indexed leading terms.
+    """``reduce_element`` on a checked basis, given its indexed leading terms
+    and its step table.
 
-    The dividend is ``work``, a dict of terms that the division consumes, so
-    Buchberger can accumulate an S-pair there; ``make``, the ``_make`` of any
-    element of the ring, wraps the results.  The live terms stay in ``work``
-    and their monomials sit in a heap that pops the largest first
-    (Monagan-Pearce style).  The divisor of a popped term comes
-    from the bitmask index of ``leading`` (Bachmann-Schoenemann style), not a
-    scan of the basis, and a monic divisor needs no scalar division.  Each
-    step subtracts the terms of quotient * basis[i] one by one, straight from
-    the product kernel.  Every term a step adds lies strictly below that
-    step's leading monomial, so a heap entry whose term has already cancelled
-    or moved to the remainder is simply skipped; a term that cancels and
-    then reappears is pushed again.
+    The dividend is ``work``, a dict of terms that the division consumes;
+    ``make``, the ``_make`` of any element of the ring, wraps the results.
+    The live terms stay in ``work`` and their monomials sit in a heap that
+    pops the largest first (Monagan-Pearce style).  Every term a step adds
+    lies strictly below that step's leading monomial, so a heap entry whose
+    term has already cancelled or moved to the remainder is simply skipped; a
+    term that cancels and then reappears is pushed again.
 
-    ``steps``, when given, is the step table of a basis that no longer
-    changes.  It maps each monomial this basis has divided to
-    ``_IRREDUCIBLE`` or to its divisor index, quotient, divisor leading
-    coefficient and the terms of quotient * basis[i] with their heap
-    entries.  The leading term is left out, as it cancels the popped term
-    exactly.  A step found there skips the divisor search, the quotient, the
-    product and the heap keys; the arithmetic and the order of the work are
-    the same, so the normal form and the cofactors are too.
+    ``steps`` maps each monomial this basis has divided to ``_IRREDUCIBLE``
+    or to its divisor index, quotient, divisor leading coefficient and the
+    terms of quotient * basis[i] with their heap entries.  The leading term
+    is left out, as it cancels the popped term exactly.  A monomial met for
+    the first time gets its divisor from the bitmask index of ``leading``
+    (Bachmann-Schoenemann style), not a scan of the basis, and its entry is
+    filled then; a step found there skips the divisor search, the quotient,
+    the product and the heap keys.  A monic divisor needs no scalar
+    division.  The cofactors are collected only when ``track`` is set.
     """
     heap_key = DEFAULT_ORDER.heap_key
     first_divisor = leading.first_divisor
@@ -195,40 +203,25 @@ def _divide(
     heap = [(heap_key(mono), mono) for mono in work]
     heapq.heapify(heap)
     remainder: dict[Monomial, Scalar] = {}
-    cofactors: list[dict[Monomial, Scalar]] = [{} for _ in basis]
+    cofactors = [{} for _ in basis] if track else None
     while heap:
         mono = heapq.heappop(heap)[1]
         coeff = work.get(mono)
         if coeff is None:
             continue
-        step = None if steps is None else steps.get(mono)
+        step = steps.get(mono)
         if step is None:
             i = first_divisor(mono)
             if i < 0:
                 step = _IRREDUCIBLE
             else:
                 quotient = mono.quotient(monomials[i])
-                lc = coefficients[i]
-                if steps is None:
-                    # No table: stream the product straight into the work.
-                    factor = coeff if lc is None else _exact_quotient(coeff, lc)
-                    for term, c in basis[i]._left_terms(quotient, factor):
-                        acc = work.get(term)
-                        if acc is None:
-                            work[term] = -c
-                            heapq.heappush(heap, (heap_key(term), term))
-                        elif acc == c:
-                            del work[term]
-                        else:
-                            work[term] = acc - c
-                    cofactors[i][quotient] = factor
-                    continue
-                terms = basis[i]._left_terms(quotient, 1)
-                step = (i, quotient, lc, [
-                    (term, c, (heap_key(term), term)) for term, c in terms if term != mono
+                step = (i, quotient, coefficients[i], [
+                    (term, c, (heap_key(term), term))
+                    for term, c in basis[i]._left_terms(quotient, 1)
+                    if term != mono
                 ])
-            if steps is not None:
-                steps[mono] = step
+            steps[mono] = step
         if step is _IRREDUCIBLE:
             remainder[mono] = work.pop(mono)
             continue
@@ -245,7 +238,8 @@ def _divide(
                 del work[term]
             else:
                 work[term] = acc - c
-        cofactors[i][quotient] = factor
+        if track:
+            cofactors[i][quotient] = factor
     if track:
         return make(remainder), [make(cof) for cof in cofactors]
     return make(remainder)
@@ -258,25 +252,38 @@ class _PackedExponents:
     in the top field.  The top bit of every field is a guard bit that stays
     clear in a packed monomial: the width puts twice ``degree`` below it, so
     for monomials of at most that degree every exponent, every lcm of two of
-    them and every partial sum of an lcm's fields stays below it too.  Then,
-    with G the guard bits,
+    them and every partial sum of an lcm's fields stays below it too; so does
+    every monomial of at most twice that degree.  Then, with G the guard
+    bits,
 
     * ``((b | G) - a) & G`` has the guard bit of each field where a <= b set,
       as no field borrows from its neighbour: a divides b iff it equals G;
     * the same guard bits, spread over their fields, select the lcm;
     * a and b are coprime iff lcm(a, b) == a + b, as a slot sum stays
       below the guard bit of its field;
-    * the total degree is the top field of ``a * ones``, with ``ones`` one
-      1 per field, and ``key`` puts it above the complemented fields, the
-      last slot on top: degree reverse lexicographic, as ``DEFAULT_ORDER``.
+    * ``((a | G) - ones) & G``, with ``ones`` one 1 per field, has the guard
+      bit of each nonzero field set;
+    * the total degree is the top field of ``a * ones``, and ``key`` puts it
+      above the complemented fields, the last slot on top: degree reverse
+      lexicographic, as ``DEFAULT_ORDER``.
+
+    Buchberger keys its terms by the entry ``a - (degree << bits)``: entries
+    sort opposite to the term order, so a min-heap of them pops the largest
+    term first, and ``entry & mask`` gives a back.  The guard-bit tests read
+    an entry as its packed monomial, since they look at the low ``bits`` only
+    and a subtraction there borrows nothing from above.  Entries add as
+    monomials multiply, degree included.
 
     A monomial of higher degree needs a new, wider packing.
     """
 
-    __slots__ = ("width", "limit", "guard", "ones", "field", "top", "bits")
+    __slots__ = (
+        "slots", "width", "limit", "guard", "ones", "field", "top", "bits", "mask", "half"
+    )
 
     def __init__(self, slots: int, degree: int):
         width = (2 * degree).bit_length() + 1
+        self.slots = slots
         self.width = width
         self.limit = 1 << (width - 1)
         self.ones = sum(1 << (s * width) for s in range(slots))
@@ -284,12 +291,31 @@ class _PackedExponents:
         self.field = (1 << width) - 1
         self.top = (slots - 1) * width
         self.bits = slots * width
+        self.mask = (1 << self.bits) - 1
+        # The companion block starts here, half-way up.
+        self.half = slots // 2 * width
 
-    def pack(self, mono: Monomial) -> int:
+    def pack(self, exponents: Sequence[int]) -> int:
         width = self.width
-        out = 0
-        for e in reversed(mono.zexp + mono.dexp):
-            out = out << width | e
+        return sum(e << (s * width) for s, e in enumerate(exponents) if e)
+
+    def entry(self, exponents: Sequence[int]) -> int:
+        return self.pack(exponents) - (sum(exponents) << self.bits)
+
+    def support(self, packed: int) -> int:
+        """The guard bits of the nonzero fields of a packed monomial or entry."""
+        return ((packed | self.guard) - self.ones) & self.guard
+
+    def exponents(self, packed: int) -> list[int]:
+        """The slot exponents of a packed monomial or entry."""
+        width = self.width
+        out = [0] * self.slots
+        nonzero = self.support(packed)
+        while nonzero:
+            bit = nonzero & -nonzero
+            nonzero ^= bit
+            start = bit.bit_length() - width
+            out[start // width] = (packed >> start) & self.field
         return out
 
     def lcm(self, a: int, b: int) -> int:
@@ -297,19 +323,138 @@ class _PackedExponents:
         return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
 
     def key(self, packed: int) -> int:
-        """Sorts like ``DEFAULT_ORDER.key`` of the monomial."""
+        """Sorts like ``DEFAULT_ORDER.key`` of the monomial; minus its entry."""
         degree = (packed * self.ones >> self.top) & self.field
         return (degree << self.bits) - packed
 
 
-def _variable_support(element: SparseElement) -> int:
-    """Bit i - 1 is set when z_i or its companion occurs in some term."""
+def _packed(px: _PackedExponents, element: SparseElement) -> tuple[dict[int, Scalar], int]:
+    """The terms of ``element`` keyed by their entries, and the entry of its
+    leading monomial."""
+    lm = element.leading_monomial()
+    return (
+        {px.entry(mono.slots()): c for mono, c in element._terms.items()},
+        px.entry(lm.slots()),
+    )
+
+
+class _PackedBasis:
+    """Monic elements of one ring on packed exponents, in list order.
+
+    Element i is the list ``terms[i]`` of triples (entry, coefficient,
+    support), with ``leads[i]`` the entry of its leading monomial and
+    ``packed[i]`` that monomial packed.  ``left_terms`` is the ring's
+    ``_packed_left_terms``, the product kernel on entries.
+    """
+
+    __slots__ = ("px", "left_terms", "terms", "leads", "packed")
+
+    def __init__(self, px: _PackedExponents, left_terms: Callable):
+        self.px = px
+        self.left_terms = left_terms
+        self.terms: list[list[tuple[int, Scalar, int]]] = []
+        self.leads: list[int] = []
+        self.packed: list[int] = []
+
+    def append(self, work: dict[int, Scalar], lead: int) -> None:
+        """Append the monic multiple of the element with terms ``work`` and
+        leading entry ``lead``."""
+        support = self.px.support
+        inverse = _exact_quotient(1, work[lead])
+        terms = []
+        for e, c in work.items():
+            c *= inverse
+            terms.append((e, c.numerator if c.denominator == 1 else c, support(e)))
+        self.terms.append(terms)
+        self.leads.append(lead)
+        self.packed.append(lead & self.px.mask)
+
+    def repack(self, px: _PackedExponents) -> None:
+        """Move every element to the packing ``px``."""
+        old, self.px = self.px, px
+        support = px.support
+        for terms in self.terms:
+            for k, (e, c, _) in enumerate(terms):
+                e = px.entry(old.exponents(e))
+                terms[k] = (e, c, support(e))
+        self.leads[:] = (px.entry(old.exponents(e)) for e in self.leads)
+        self.packed[:] = (e & px.mask for e in self.leads)
+
+    def first_divisor(self, entry: int) -> int:
+        """Index of the first leading monomial dividing ``entry``'s, else -1."""
+        guard = self.px.guard
+        guarded = entry | guard
+        for i, p in enumerate(self.packed):
+            if (guarded - p) & guard == guard:
+                return i
+        return -1
+
+    def divide(self, work: dict[int, Scalar]) -> dict[int, Scalar]:
+        """Remainder of the terms ``work`` under left division; consumes them.
+
+        As ``_divide``: a min-heap of entries pops the largest live term, the
+        first element in list order whose leading monomial divides it wins,
+        and each step streams the divisor's product into ``work``.  The
+        remainder's terms are added in descending order, its leading one
+        first.
+        """
+        px = self.px
+        first_divisor = self.first_divisor
+        left_terms = self.left_terms
+        leads = self.leads
+        terms = self.terms
+        heap = list(work)
+        heapq.heapify(heap)
+        remainder: dict[int, Scalar] = {}
+        while heap:
+            e = heapq.heappop(heap)
+            coeff = work.get(e)
+            if coeff is None:
+                continue
+            i = first_divisor(e)
+            if i < 0:
+                remainder[e] = work.pop(e)
+                continue
+            # The divisor is monic: the step's top term cancels ``e`` exactly.
+            for term, c in left_terms(px, e - leads[i], coeff, terms[i]):
+                acc = work.get(term)
+                if acc is None:
+                    work[term] = -c
+                    heapq.heappush(heap, term)
+                elif acc == c:
+                    del work[term]
+                else:
+                    work[term] = acc - c
+        return remainder
+
+    def elements(self, make: Callable) -> tuple[list[SparseElement], _LeadingTerms]:
+        """The elements as ``make`` builds them, with the index of their
+        leading terms."""
+        px = self.px
+        m = px.slots // 2
+        out: list[SparseElement] = []
+        leading = _LeadingTerms(px.slots)
+        for terms, lead in zip(self.terms, self.leads):
+            clean: dict[Monomial, Scalar] = {}
+            for e, c, _ in terms:
+                exps = px.exponents(e)
+                mono = Monomial(tuple(exps[:m]), tuple(exps[m:]))
+                clean[mono] = c
+                if e == lead:
+                    lm = mono
+            out.append(make(clean, lm))
+            leading.add(lm, 1)
+        return out, leading
+
+
+def _variable_support(terms: list[tuple[int, Scalar, int]], half: int) -> int:
+    """A bitmask that meets another element's iff the two elements share a
+    variable: the supports of the terms, the companion block folded onto
+    the position block."""
     bits = 0
-    for mono in element.terms:
-        for i, (a, b) in enumerate(zip(mono.zexp, mono.dexp)):
-            if a or b:
-                bits |= 1 << i
-    return bits
+    for _, _, support in terms:
+        bits |= support
+    return bits | bits >> half
 
 
 @dataclass(frozen=True)
@@ -359,16 +504,19 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     ``pairs_skipped_commuting``.  A budget of reduced pairs from the
     WEYLKIT_GB_MAX_PAIRS environment variable aborts runaway computations.
 
-    The update runs on ``_PackedExponents``: the pending pairs, the queue
-    and the minimality test hold packed lcms and integer keys that sort
-    exactly like ``DEFAULT_ORDER.key``.  Each basis element caches its packed
-    leading monomial and a bitmask of the variables it involves (0 for
-    ``Poly``), so the product criterion is two integer tests: lcm(i, h) is
-    the sum of the packed monomials, and the variable masks are disjoint.
+    The whole run works on ``_PackedExponents``: each generator is packed
+    once into a ``_PackedBasis``, and the pair update, the S-pairs, the
+    divisions and the interreduction hold entries and packed monomials only.
+    Monomials are built once, for the reduced basis.  Degrevlex refines
+    degree and a division step adds only smaller terms, so no term of a
+    reduction is of higher degree than its pair's lcm, which the fields hold.
+    Each basis element also keeps a bitmask of the variables it involves (0
+    for ``Poly``), so the product criterion is two integer tests: lcm(i, h)
+    is the sum of the packed monomials, and the variable masks are disjoint.
     The fields start wide enough for twice the generators' largest degree.
-    A leading monomial of higher degree widens them: the leading monomials
-    and pending lcms are repacked, and the queue is rebuilt from the pending
-    pairs, whose pop order does not change.
+    A leading monomial of higher degree widens them: the basis, the incoming
+    element and the pending lcms are repacked, and the queue is rebuilt from
+    the pending pairs, whose pop order does not change.
     """
     limit = _pair_limit()
     gens = [g for g in generators if not g.is_zero()]
@@ -380,11 +528,12 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     slots = 2 * gens[0].ambient
     commutative = issubclass(kind, Poly)
     px = _PackedExponents(slots, max(g.total_degree() for g in gens))
-    basis: list[SparseElement] = []
-    leading = _LeadingTerms(slots)
-    lms = leading.monomials
-    # Per basis element: packed leading monomial and variable support.
-    packed: list[int] = []
+    basis = _PackedBasis(px, kind._packed_left_terms)
+    leads = basis.leads
+    terms = basis.terms
+    packed = basis.packed
+    left_terms = basis.left_terms
+    # Per basis element: the variables it involves.
     supports: list[int] = []
     # Indices whose leading monomial no later one divides: only these get new pairs.
     active: list[int] = []
@@ -392,24 +541,28 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     queue: list[tuple[int, int, int]] = []
     chain = commuting = 0
 
-    def insert(h: SparseElement) -> None:
+    def insert(work: dict[int, Scalar], lead: int) -> None:
         nonlocal px, active, chain, commuting
-        h = h.monic()
-        lm_h = h.leading_monomial()
-        if 2 * lm_h.total_degree() >= px.limit:
-            # Widen: repack the leading monomials and the pending lcms, and
-            # rebuild the queue from the pending pairs (stale entries drop).
-            px = _PackedExponents(slots, lm_h.total_degree())
-            packed[:] = map(px.pack, lms)
+        degree = -(lead >> px.bits)
+        if 2 * degree >= px.limit:
+            # Widen: repack the basis, this element and the pending lcms,
+            # and rebuild the queue from the pending pairs (stale entries drop).
+            old, px = px, _PackedExponents(slots, degree)
+            basis.repack(px)
+            work = {px.entry(old.exponents(e)): c for e, c in work.items()}
+            lead = px.entry(old.exponents(lead))
+            if not commutative:
+                supports[:] = (_variable_support(t, px.half) for t in terms)
             for i, k in pending:
                 pending[i, k] = px.lcm(packed[i], packed[k])
             queue[:] = [(px.key(lcm), i, k) for (i, k), lcm in pending.items()]
             heapq.heapify(queue)
         guard = px.guard
         lcm_of = px.lcm
-        p_h = px.pack(lm_h)
-        s_h = 0 if commutative else _variable_support(h)
-        j = len(basis)
+        j = len(leads)
+        basis.append(work, lead)
+        p_h = packed[j]
+        s_h = 0 if commutative else _variable_support(terms[j], px.half)
         for (i, k), lcm in list(pending.items()):
             if (
                 ((lcm | guard) - p_h) & guard == guard
@@ -443,18 +596,15 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
                 heapq.heappush(queue, (key, i, j))
         active = [i for i in active if ((packed[i] | guard) - p_h) & guard != guard]
         active.append(j)
-        basis.append(h)
-        packed.append(p_h)
         supports.append(s_h)
-        leading.add(lm_h, h.leading_coefficient())
 
     for g in gens:
-        insert(g)
+        insert(*_packed(px, g))
 
     processed = 0
     zero_reductions = 0
     while queue:
-        _, i, j = heapq.heappop(queue)
+        key, i, j = heapq.heappop(queue)
         if pending.pop((i, j), None) is None:
             continue
         processed += 1
@@ -463,46 +613,42 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
                 f"Groebner pair budget of {limit} exhausted "
                 f"(set {PAIR_LIMIT_ENV} to raise it)"
             )
-        lcm = lms[i].lcm(lms[j])
-        work: dict[Monomial, Scalar] = {}
-        _accumulate(work, basis[i]._left_terms(lcm.quotient(lms[i]), 1))
-        _accumulate(work, basis[j]._left_terms(lcm.quotient(lms[j]), -1))
-        remainder = _divide(work, basis[i]._make, basis, leading, False)
-        if remainder.is_zero():
-            zero_reductions += 1
+        # The queue key of a pair is minus the entry of its lcm.
+        work: dict[int, Scalar] = {}
+        _accumulate(work, left_terms(px, -key - leads[i], 1, terms[i]))
+        _accumulate(work, left_terms(px, -key - leads[j], -1, terms[j]))
+        remainder = basis.divide(work)
+        if remainder:
+            insert(remainder, next(iter(remainder)))
         else:
-            insert(remainder)
+            zero_reductions += 1
 
-    reduced, reduced_leading = _interreduce(basis)
+    reduced, reduced_leading = _interreduce(basis).elements(gens[0]._make)
     return GroebnerBasis(
         tuple(reduced), reduced_leading, processed, zero_reductions, chain, commuting
     )
 
 
-def _interreduce(
-    basis: list[SparseElement],
-) -> tuple[list[SparseElement], _LeadingTerms]:
-    """Reduced basis from a nonempty Groebner basis, in one ascending pass,
-    with the index of its leading terms.
+def _interreduce(basis: _PackedBasis) -> _PackedBasis:
+    """Reduced basis from a nonempty Groebner basis, in one ascending pass.
 
     Every tail term of an element lies below its leading monomial, so only
     smaller leading monomials can divide it: each minimal element is divided
     by the smaller, already reduced ones and then joins them.
     """
-    reduced: list[SparseElement] = []
-    leading = _LeadingTerms(2 * basis[0].ambient)
-    for g in sorted(basis, key=lambda g: DEFAULT_ORDER.key(g.leading_monomial())):
-        lm = g.leading_monomial()
+    reduced = _PackedBasis(basis.px, basis.left_terms)
+    leads = basis.leads
+    # Descending entries are ascending monomials; equal ones keep list order.
+    for i in sorted(range(len(leads)), key=leads.__getitem__, reverse=True):
+        lead = leads[i]
         # Minimal first: drop anything whose leading monomial another one divides.
-        if leading.first_divisor(lm) >= 0:
+        if reduced.first_divisor(lead) >= 0:
             continue
-        g = _divide(dict(g._terms), g._make, reduced, leading, False)
-        if g.is_zero() or g.leading_monomial() != lm:
+        remainder = reduced.divide({e: c for e, c, _ in basis.terms[i]})
+        if next(iter(remainder), None) != lead:
             raise AssertionError("minimal basis element lost its leading term")
-        g = g.monic()
-        reduced.append(g)
-        leading.add(lm, g.leading_coefficient())
-    return reduced, leading
+        reduced.append(remainder, lead)
+    return reduced
 
 
 def _ideal_from_reduced_basis(

@@ -25,6 +25,12 @@ class Poly(SparseElement):
         for m2, c2 in self._terms.items():
             yield mono.mul(m2), coeff * c2
 
+    @staticmethod
+    def _packed_left_terms(px, u: int, coeff: Scalar, terms) -> Iterator[tuple[int, Scalar]]:
+        """``_left_terms`` on packed exponents (see ``WeylElement``'s): the
+        entries of a product of monomials are the sums of theirs."""
+        return ((u + t, coeff * c) for t, c, _ in terms)
+
     def __str__(self) -> str:
         return format_terms(self, "zeta")
 

@@ -67,11 +67,64 @@ class WeylElement(SparseElement):
             for m2, c2 in self._terms.items()
         )
 
+    @staticmethod
+    def _packed_left_terms(px, u: int, coeff: Scalar, terms) -> Iterator[tuple[int, Scalar]]:
+        """``_left_terms`` on packed exponents: the terms of (coeff * u) * g,
+        where u is a ``groebner._PackedExponents`` entry and ``terms`` holds
+        the terms of g as (entry, coefficient, support) triples.
+
+        A term none of whose z_i meets a d_i of u gives the sum of the
+        entries.  The guard bits of u's companion block, shifted down onto
+        the position block, meet the term's support where they do.  Each
+        meeting variable instead contributes a row of
+        ``_reorder_one_variable``: pushing d_i through z_i k times lowers
+        both exponents by k and the degree by 2k.
+        """
+        meets = px.support(u) >> px.half
+        if not meets:
+            return ((u + t, coeff * c) for t, c, _ in terms)
+        return _packed_reordered(px, u, coeff, terms, meets)
+
     def __str__(self) -> str:
         return format_terms(self, "d")
 
     def __repr__(self) -> str:
         return f"WeylElement({self.ambient}, {self!s})"
+
+
+def _packed_reordered(px, u: int, coeff: Scalar, terms, meets: int):
+    """``WeylElement._packed_left_terms`` when some d_i of u may meet a z_i;
+    ``meets`` marks them, on the z_i guard bits."""
+    width = px.width
+    half = px.half
+    field = px.field
+    # One push of d_i through z_i: both exponents and twice the degree drop by 1.
+    drop = 2 << px.bits
+    for t, c, support in terms:
+        c *= coeff
+        meet = meets & support
+        if not meet:
+            yield u + t, c
+            continue
+        rows = []
+        while meet:
+            bit = meet & -meet
+            meet ^= bit
+            start = bit.bit_length() - width
+            q = (t >> start) & field
+            push = (1 << start) + (1 << (start + half)) - drop
+            rows.append([
+                (factor, (zp - q) * push)
+                for factor, zp, _ in _reorder_one_variable((u >> (start + half)) & field, q)
+            ])
+        base = u + t
+        for choice in itertools.product(*rows):
+            k = c
+            out = base
+            for factor, shift in choice:
+                k *= factor
+                out += shift
+            yield out, k
 
 
 def z(i: int, ambient: int, power: int = 1) -> WeylElement:

@@ -12,6 +12,9 @@ The oracles deliberately avoid the engine's closed-form algorithms:
   multiplication,
 * left division is recomputed by the textbook loop that rescans for the
   leading term and rebuilds the element after every step,
+* Buchberger's division is recomputed on ``Monomial`` tuples, each step's
+  product streamed from ``_left_terms``, where the package runs it on packed
+  exponents,
 * S-polynomials are built as whole elements, which ``buchberger`` never
   does, so the final bases' S-pairs are re-checked by code it does not share,
 * Groebner bases are recomputed by Buchberger's algorithm with no pair
@@ -53,7 +56,13 @@ from weylkit import (
     section_from_operator,
 )
 from weylkit.base import _accumulate, _exact_quotient
-from weylkit.groebner import _divide, _interreduce, _LeadingTerms
+from weylkit.groebner import (
+    _interreduce,
+    _LeadingTerms,
+    _packed,
+    _PackedBasis,
+    _PackedExponents,
+)
 from weylkit.linalg import mat_mul, rank, solve
 from weylkit.weyl import d as d_op, z as z_op
 
@@ -446,11 +455,13 @@ def _index_support(element) -> frozenset[int]:
 
 
 def reference_buchberger(generators) -> GroebnerBasis:
-    """``buchberger`` with its pair update on ``Monomial`` tuples.
+    """``buchberger`` on ``Monomial`` tuples.
 
     The same Gebauer-Moeller update, pair order and counters, but every lcm
     is a ``Monomial``, every test a tuple comparison and every queue key
-    ``DEFAULT_ORDER.key``.  Returns the reduced basis and all four counters.
+    ``DEFAULT_ORDER.key``; each S-polynomial is built whole and divided by
+    ``streaming_divide``, and the fixpoint loop interreduces the result.
+    Returns the reduced basis and all four counters.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -516,15 +527,57 @@ def reference_buchberger(generators) -> GroebnerBasis:
             continue
         processed += 1
         spoly = s_polynomial(basis[i], basis[j])
-        remainder = _divide(dict(spoly.terms), spoly._make, basis, leading, False)
+        remainder = streaming_divide(dict(spoly.terms), spoly._make, basis, leading)
         if remainder.is_zero():
             zero_reductions += 1
         else:
             insert(remainder)
-    reduced, reduced_leading = _interreduce(basis)
+    reduced = fixpoint_interreduce(basis)
     return GroebnerBasis(
-        tuple(reduced), reduced_leading, processed, zero_reductions, chain, commuting
+        tuple(reduced), fresh_index(reduced), processed, zero_reductions, chain, commuting
     )
+
+
+def streaming_divide(work, make, basis, leading: _LeadingTerms):
+    """Left division of the terms ``work`` by ``basis`` on ``Monomial`` tuples,
+    with ``leading`` the index of its leading terms: each step streams
+    quotient * basis[i] from ``_left_terms`` into ``work``, with no step
+    table and no packing."""
+    heap_key = DEFAULT_ORDER.heap_key
+    heap = [(heap_key(mono), mono) for mono in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = work.get(mono)
+        if coeff is None:
+            continue
+        i = leading.first_divisor(mono)
+        if i < 0:
+            remainder[mono] = work.pop(mono)
+            continue
+        quotient = mono.quotient(leading.monomials[i])
+        factor = _exact_quotient(coeff, basis[i].leading_coefficient())
+        for term, c in basis[i]._left_terms(quotient, factor):
+            acc = work.get(term)
+            if acc is None:
+                work[term] = -c
+                heapq.heappush(heap, (heap_key(term), term))
+            elif acc == c:
+                del work[term]
+            else:
+                work[term] = acc - c
+    return make(remainder)
+
+
+def one_pass_interreduce(elements) -> list:
+    """The package's one-pass interreduction on packed exponents, for a
+    nonempty list of monic elements of one ring."""
+    px = _PackedExponents(2 * elements[0].ambient, max(g.total_degree() for g in elements))
+    basis = _PackedBasis(px, type(elements[0])._packed_left_terms)
+    for g in elements:
+        basis.append(*_packed(px, g))
+    return _interreduce(basis).elements(elements[0]._make)[0]
 
 
 def fresh_index(elements) -> _LeadingTerms:
@@ -537,7 +590,7 @@ def fresh_index(elements) -> _LeadingTerms:
 
 def index_state(index: _LeadingTerms) -> tuple:
     """Everything a division index holds, for comparing two of them."""
-    return index.monomials, index.coefficients, index._exps, index._masks, index._all
+    return index.monomials, index.coefficients, index._exps, index._over, index._all
 
 
 # -- Dense oracles for the Lie layer ------------------------------------------

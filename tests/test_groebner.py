@@ -13,6 +13,7 @@ from helpers import (
     fresh_index,
     index_state,
     naive_reduce,
+    one_pass_interreduce,
     random_element,
     reference_buchberger,
     s_polynomial,
@@ -35,7 +36,6 @@ from weylkit.groebner import (
     _LeadingTerms,
     _PackedExponents,
     _ideal_from_reduced_basis,
-    _interreduce,
 )
 from weylkit.monomial import z_monomial
 from weylkit.poly import poly_z
@@ -311,18 +311,21 @@ def test_packed_exponents_match_monomial_arithmetic(ambient):
             slots[rng.randrange(2 * ambient)] += 1
         return Monomial(tuple(slots[:ambient]), tuple(slots[ambient:]))
 
+    def pack(mono):
+        return px.pack(mono.slots())
+
     monomials = [draw() for _ in range(60)]
     guard = px.guard
     for a in monomials:
         for b in monomials:
-            lcm = px.lcm(px.pack(a), px.pack(b))
-            assert lcm == px.pack(a.lcm(b))
-            assert (((px.pack(b) | guard) - px.pack(a)) & guard == guard) == a.divides(b)
-            assert (lcm == px.pack(a) + px.pack(b)) == all(
+            lcm = px.lcm(pack(a), pack(b))
+            assert lcm == pack(a.lcm(b))
+            assert (((pack(b) | guard) - pack(a)) & guard == guard) == a.divides(b)
+            assert (lcm == pack(a) + pack(b)) == all(
                 x == 0 or y == 0 for x, y in zip(a.slots(), b.slots())
             )
     lcms = {a.lcm(b) for a in monomials for b in monomials}
-    assert sorted(lcms, key=lambda m: px.key(px.pack(m))) == sorted(lcms, key=DEFAULT_ORDER.key)
+    assert sorted(lcms, key=lambda m: px.key(pack(m))) == sorted(lcms, key=DEFAULT_ORDER.key)
 
 
 def test_pair_update_on_huge_exponents():
@@ -369,6 +372,111 @@ def test_pair_update_widens_its_packing(monkeypatch, n3_scenario):
     assert len(widths) >= 2 and widths == sorted(set(widths))
 
 
+def test_packed_runs_match_the_monomial_oracle_across_widenings(monkeypatch):
+    # Binomials of degree at most 3 in two variables: their bases often gain
+    # leading monomials of twice the generators' degree, so the run repacks
+    # its basis and the element entering it, pending lcms and queue midway.
+    monkeypatch.setenv("WEYLKIT_GB_MAX_PAIRS", "60")
+    widths: list[int] = []
+
+    class Recording(_PackedExponents):
+        def __init__(self, slots, degree):
+            super().__init__(slots, degree)
+            widths.append(self.width)
+
+    monkeypatch.setattr(groebner, "_PackedExponents", Recording)
+    rng = random.Random("weylkit-packed-widening")
+
+    def binomial(kind):
+        terms = {}
+        for sign in (1, -1):
+            slots = [0] * 4
+            for _ in range(rng.randint(1, 3)):
+                slots[rng.randrange(4)] += 1
+            terms[Monomial(tuple(slots[:2]), tuple(slots[2:]))] = sign * rng.choice((1, 2))
+        return kind(2, terms)
+
+    widened = {WeylElement: 0, Poly: 0}
+    for k in range(80):
+        kind = Poly if k % 2 else WeylElement
+        gens = [binomial(kind) for _ in range(rng.randint(2, 3))]
+        widths.clear()
+        assert buchberger(gens) == reference_buchberger(gens), [str(g) for g in gens]
+        widened[kind] += len(widths) > 1
+    assert widened[WeylElement] >= 8 and widened[Poly] >= 4
+
+
+@pytest.mark.parametrize("kind", [WeylElement, Poly])
+def test_packed_product_matches_the_term_product(kind):
+    # Every pattern of d_i in the multiplier meeting z_i in a term, on one,
+    # two or three variables at once, with exponents up to 10**9; a meeting
+    # pair keeps one side small, as the product has min(p, q) + 1 terms.
+    rng = random.Random(f"weylkit-packed-product:{kind.__name__}")
+    exponents = [0, 0, 1, 2, 3, 10**9]
+    meetings = set()
+    for _ in range(300):
+        ambient = rng.randint(1, 3)
+
+        def draw():
+            slots = [rng.choice(exponents) for _ in range(2 * ambient)]
+            return Monomial(tuple(slots[:ambient]), tuple(slots[ambient:]))
+
+        u = draw()
+        g = kind(ambient, {draw(): rng.choice((1, -2, Fraction(3, 2))) for _ in range(3)})
+        for mono in list(g.terms):
+            for i in range(ambient):
+                if min(u.dexp[i], mono.zexp[i]) > 3:
+                    u = Monomial(u.zexp, u.dexp[:i] + (rng.randint(1, 3),) + u.dexp[i + 1 :])
+        meetings.update(
+            sum(1 for b, c in zip(u.dexp, mono.zexp) if b and c) for mono in g.terms
+        )
+        coeff = rng.choice((1, -3, Fraction(-1, 2)))
+        expected: dict = {}
+        for mono, c in g.terms.items():
+            for out, k in g._term_product(u, mono):
+                expected[out] = expected.get(out, 0) + coeff * c * k
+        px = _PackedExponents(2 * ambient, u.total_degree() + g.total_degree())
+        terms = [
+            (px.entry(mono.slots()), c, px.support(px.entry(mono.slots())))
+            for mono, c in g.terms.items()
+        ]
+        got: dict = {}
+        for entry, c in kind._packed_left_terms(px, px.entry(u.slots()), coeff, terms):
+            exps = px.exponents(entry)
+            assert entry == px.entry(exps)
+            mono = Monomial(tuple(exps[:ambient]), tuple(exps[ambient:]))
+            got[mono] = got.get(mono, 0) + c
+        assert {m: c for m, c in got.items() if c} == {m: c for m, c in expected.items() if c}
+    assert meetings == {0, 1, 2, 3}
+
+
+def test_buchberger_builds_no_monomial_product_quotient_or_lcm(monkeypatch, n3_scenario):
+    # The run works on packed exponents from the generators to the reduced
+    # basis: Monomial arithmetic is never called, widening included.
+    ideals = [
+        n3_scenario.ideal("I1l", {"l": 1}),
+        n3_scenario.ideal("I3"),
+        graded_ideal(n3_scenario.ideal("Idoubleprime", {"l": 1})),
+    ]
+    generator_lists = [list(ideal.generators) for ideal in ideals]
+    expected = [reference_buchberger(gens) for gens in generator_lists]
+    calls = []
+    for name in ("quotient", "mul", "lcm"):
+        original = getattr(Monomial, name)
+
+        def counted(self, other, name=name, original=original):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Monomial, name, counted)
+    for gens, want in zip(generator_lists, expected):
+        assert buchberger(gens) == want
+    assert calls == []
+    # The counter itself works: the Monomial oracle calls all three.
+    reference_buchberger(generator_lists[0])
+    assert {"quotient", "mul", "lcm"} <= set(calls)
+
+
 @pytest.mark.parametrize(
     "scenario, name, l",
     [("n2_scenario", "I1l", 2), ("n2_scenario", "I3", None), ("n3_scenario", "I1l", 1)],
@@ -386,7 +494,7 @@ def test_one_pass_interreduce_matches_the_fixpoint_loop_on_padded_bases(request,
         if not extra.is_zero():
             padded.append(extra.monic())
     rng.shuffle(padded)
-    assert _interreduce(padded)[0] == fixpoint_interreduce(padded) == basis
+    assert one_pass_interreduce(padded) == fixpoint_interreduce(padded) == basis
 
 
 @pytest.mark.parametrize("kind", [WeylElement, Poly])
@@ -399,7 +507,9 @@ def test_one_pass_interreduce_matches_the_fixpoint_loop_on_random_lists(kind):
             for _ in range(rng.randint(1, 6))
         ]
         elements = [g.monic() for g in elements if not g.is_zero()]
-        assert _interreduce(elements)[0] == fixpoint_interreduce(elements), [str(g) for g in elements]
+        assert one_pass_interreduce(elements) == fixpoint_interreduce(elements), [
+            str(g) for g in elements
+        ]
 
 
 def test_pair_limit_rejects_garbage(monkeypatch):
@@ -588,13 +698,10 @@ def test_the_step_table_is_filled_once_and_owned_by_its_basis(n3_scenario):
     assert graded.contains(symbol)
 
 
-@pytest.mark.parametrize("name, l", [("I1l", 0), ("I1l", 1), ("I1l", 2), ("I1l", 3), ("I3", None)])
-def test_graded_bases_and_normal_forms_match_sympy(n2_scenario, name, l):
+def _sympy_oracle(m: int):
+    """sympy, the generators z1..zm, zeta1..zetam, and the conversions both
+    ways; sympy's grevlex on those generators is the engine's slot order."""
     sympy = pytest.importorskip("sympy")
-    graded = graded_ideal(n2_scenario.ideal(name, {} if l is None else {"l": l}))
-    basis = graded.groebner_basis().elements
-    m = graded.ambient
-    # sympy's grevlex on z1..zm, zeta1..zetam is the engine's slot order.
     gens = sympy.symbols(f"z1:{m + 1} zeta1:{m + 1}")
 
     def to_sympy(element):
@@ -608,13 +715,53 @@ def test_graded_bases_and_normal_forms_match_sympy(n2_scenario, name, l):
         poly = sympy.Poly(expr, *gens, domain="QQ")
         return sorted((mono, Fraction(int(c.p), int(c.q))) for mono, c in poly.terms() if c)
 
+    return sympy, gens, to_sympy, engine_terms, sympy_terms
+
+
+def _check_graded_ideal_against_sympy(graded: LeftIdeal, seed: str) -> None:
+    basis = graded.groebner_basis().elements
+    sympy, gens, to_sympy, engine_terms, sympy_terms = _sympy_oracle(graded.ambient)
     oracle = sympy.groebner([to_sympy(g) for g in basis], *gens, order="grevlex", domain="QQ")
     assert sorted(map(engine_terms, basis)) == sorted(map(sympy_terms, oracle.exprs))
-    rng = random.Random(f"weylkit-sympy-oracle:{name}:{l}")
+    rng = random.Random(seed)
     for x in _division_queries(rng, list(basis), Poly, 50):
         _, remainder = sympy.reduced(to_sympy(x), oracle.exprs, *gens, order="grevlex")
         for _ in ("cold", "warm"):
             assert engine_terms(graded.reduce(x)) == sympy_terms(remainder)
+
+
+@pytest.mark.parametrize("name, l", [("I1l", 0), ("I1l", 1), ("I1l", 2), ("I1l", 3), ("I3", None)])
+def test_graded_bases_and_normal_forms_match_sympy(n2_scenario, name, l):
+    graded = graded_ideal(n2_scenario.ideal(name, {} if l is None else {"l": l}))
+    _check_graded_ideal_against_sympy(graded, f"weylkit-sympy-oracle:{name}:{l}")
+
+
+@pytest.mark.parametrize(
+    "name, l", [("I1l", 0), ("I1l", 1), ("I1l", 2), ("I3", None), ("Idoubleprime", 1)]
+)
+def test_paper_n3_graded_bases_and_normal_forms_match_sympy(n3_scenario, name, l):
+    graded = graded_ideal(n3_scenario.ideal(name, {} if l is None else {"l": l}))
+    _check_graded_ideal_against_sympy(graded, f"weylkit-sympy-oracle:n3:{name}:{l}")
+
+
+def test_buchberger_on_random_polynomial_ideals_matches_sympy():
+    # A Buchberger run of its own on Poly generators: the commutative packed
+    # product, reductions and interreduction against sympy's reduced basis.
+    rng = random.Random("weylkit-sympy-oracle:random-poly")
+    sympy, gens, to_sympy, engine_terms, sympy_terms = _sympy_oracle(2)
+    compared = 0
+    for _ in range(30):
+        ideal_gens = [
+            Poly(2, random_element(rng, 2, terms=3, max_exp=2).terms)
+            for _ in range(rng.randint(1, 3))
+        ]
+        basis = buchberger(ideal_gens).elements
+        oracle = sympy.groebner(
+            [to_sympy(g) for g in ideal_gens], *gens, order="grevlex", domain="QQ"
+        )
+        assert sorted(map(engine_terms, basis)) == sorted(map(sympy_terms, oracle.exprs))
+        compared += len(basis) > 1
+    assert compared >= 15
 
 
 def _first_divisor_by_scan(leading, mono):
@@ -666,5 +813,5 @@ def test_division_by_a_huge_leading_exponent_returns_at_once():
     assert cofactors[0] * g + remainder == x
     index = _LeadingTerms(4)
     index.add(g.leading_monomial(), 3)
-    assert [len(exps) for exps in index._exps] == [2, 1, 1, 1]
+    assert [len(exps) for exps in index._exps] == [1, 0, 0, 0]
     assert index.coefficients == [3]
