@@ -14,11 +14,11 @@ Subclasses supply a printing dialect and the ring product of two monomials
 through ``_term_product``, which yields (monomial, int) pairs.  Products of
 elements run through one kernel, ``_left_terms``: the terms of
 (coeff * mono) * self, one term of self at a time, with monomials that may
-repeat.  ``*`` and division accumulate those terms straight into a dict.  A
-subclass may override the kernel with a shorter path that yields the same
-terms.  Buchberger does not call it: it multiplies packed exponents (see
-``groebner._PackedExponents``) through each ring's ``_packed_left_terms``,
-the same product on ints.
+repeat.  ``*`` accumulates those terms straight into a dict.  A subclass
+may override the kernel with a shorter path that yields the same terms.
+Division, in Buchberger and in reads, does not call it: it multiplies packed
+exponents (see ``groebner._PackedExponents``) through each ring's
+``_packed_left_terms``, the same product on ints.
 """
 
 from __future__ import annotations
@@ -69,16 +69,16 @@ class SparseElement:
         for mono, coeff in items:
             if len(mono.zexp) != ambient or len(mono.dexp) != ambient:
                 raise ValueError("monomial ambient mismatch")
-            if any(e < 0 for e in mono.zexp) or any(e < 0 for e in mono.dexp):
+            if min(mono.zexp, default=0) < 0 or min(mono.dexp, default=0) < 0:
                 raise ValueError("negative exponent")
             c = _coefficient(coeff)
             if c:
                 nonzero.append((mono, c))
         clean: dict[Monomial, Scalar] = {}
         _accumulate(clean, nonzero)
-        object.__setattr__(self, "_ambient", ambient)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_lead", None)
+        _set_ambient(self, ambient)
+        _set_terms(self, clean)
+        _set_lead(self, None)
 
     def _make(self, clean: dict[Monomial, Scalar], lead: Monomial | None = None):
         """Same type and ambient around a dict that arithmetic on validated
@@ -86,9 +86,9 @@ class SparseElement:
         checks in ``__init__`` are skipped.  ``lead`` is passed on when the
         support is unchanged."""
         out = object.__new__(type(self))
-        object.__setattr__(out, "_ambient", self._ambient)
-        object.__setattr__(out, "_terms", clean)
-        object.__setattr__(out, "_lead", lead)
+        _set_ambient(out, self._ambient)
+        _set_terms(out, clean)
+        _set_lead(out, lead)
         return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -235,7 +235,12 @@ class SparseElement:
         if self._lead is None:
             if not self._terms:
                 raise ValueError("zero element has no leading monomial")
-            object.__setattr__(self, "_lead", max(self._terms, key=DEFAULT_ORDER.key))
+            # One term needs no comparison, and no order key.
+            if len(self._terms) == 1:
+                lead = next(iter(self._terms))
+            else:
+                lead = max(self._terms, key=DEFAULT_ORDER.key)
+            _set_lead(self, lead)
         return self._lead
 
     def leading_coefficient(self) -> Scalar:
@@ -252,8 +257,15 @@ class SparseElement:
         return max(m.total_degree() for m in self._terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
+        if len(self._terms) < 2:
+            return list(self._terms.items())
         return sorted(self._terms.items(), key=lambda kv: DEFAULT_ORDER.key(kv[0]), reverse=True)
 
+
+# The slot setters: ``__setattr__`` refuses, and these skip the attribute lookup.
+_set_ambient = SparseElement._ambient.__set__
+_set_terms = SparseElement._terms.__set__
+_set_lead = SparseElement._lead.__set__
 
 def _accumulate(out: dict[Monomial, Scalar], terms: Iterable[tuple[Monomial, Scalar]]) -> None:
     """Add ``terms`` into ``out`` in place, dropping monomials that cancel."""

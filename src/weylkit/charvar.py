@@ -54,9 +54,9 @@ def graded_ideal(ideal: LeftIdeal) -> LeftIdeal:
     if not basis.elements:
         return LeftIdeal([Poly.zero(ideal.ambient)])
     # Each symbol keeps its operator's leading monomial and coefficient 1, so
-    # the operator basis's index serves the symbols unchanged.
+    # the symbols' packed basis is the top-degree part of the operators'.
     return _ideal_from_reduced_basis(
-        [principal_symbol(g) for g in basis.elements], basis.leading
+        [principal_symbol(g) for g in basis.elements], basis.packed.symbols()
     )
 
 

@@ -10,48 +10,47 @@ monomials) holds only for generators that commute, which disjoint variable
 support guarantees; the coprime shortcut alone fails already for the pair
 (d1, z1).
 
-Reads divide on ``Monomial`` tuples.  They find the divisor through a
-per-slot index of the basis leading monomials: one bisection per slot and an
-OR of bitmasks, whatever the basis size.  A reduced basis carries the index
-built with it, so an ideal's divisions never rebuild it; ``reduce_element``
-builds one per call.  A reduced basis also keeps a step table, filled as
-``LeftIdeal.reduce`` divides: for each monomial it has met, either
-"irreducible" or the divisor, the quotient and the terms of quotient *
-divisor with their heap keys.  A later read that meets the monomial again
-skips the divisor search, the product and the keys; the arithmetic is
-unchanged, so are the results.  ``reduce_element`` fills a fresh table.
+All division runs on packed exponent vectors, in one loop
+(``_PackedBasis.divide``): every monomial is one int with a field per slot
+whose top bit is a guard bit.  Divisibility, lcm, coprimality and the
+degrevlex key take a few integer operations, a product of commuting terms
+is a sum, and the ring's ``_packed_left_terms`` reorders the others.  The
+divisor is the first leading monomial in list order that divides, found by
+a guard-bit scan.  The loop fills a step table keyed by entry: for each
+monomial it has divided, the divisor and the terms of the product, or the
+number of elements it was found irreducible by.  A monomial met again costs
+no scan and no product; the arithmetic is unchanged, so are the results.
 
-Buchberger runs on packed exponent vectors from end to end: every term of
-every generator is packed once into one int with a field per slot whose top
-bit is a guard bit.  The pair update, the S-pairs, the divisions and the
-interreduction then work on those ints: divisibility, lcm, coprimality and
-the degrevlex key take a few integer operations, a product of commuting
-terms is a sum, and the ring's ``_packed_left_terms`` reorders the others.
-Monomials are built once, for the reduced basis.  The field width follows
-the run's own degrees: when a leading monomial of higher degree arrives, the
-run repacks what it holds with wider fields, so a 10**9 exponent takes the
-same path.
+Buchberger packs every term of every generator once, and the pair update,
+the S-pairs, the divisions and the interreduction work on those ints.  The
+field width follows the run's own degrees: when a leading monomial of higher
+degree arrives, the run repacks what it holds with wider fields, so a 10**9
+exponent takes the same path.  A run's terms seldom recur, so each of its
+divisions gets a fresh step table: on the 303-element basis of
+(z1*d1 + z2*d2 + 1, d3, d1^300), one table kept for the whole run found
+almost no entry again and raised the run's peak memory from 54 to 88 MB.
+
+A reduced basis keeps the packed basis that the interreduction built, and
+one step table that its reads share.  A read (``LeftIdeal.reduce``) packs
+the dividend, divides there and unpacks the remainder, each through a
+per-basis cache of the monomials it has met; ``reduce_element`` packs a
+fresh basis per call.
 
 Chain criterion in G-algebras: V. Levandovskyy, PhD thesis, Kaiserslautern 2005.
 Pair update: R. Gebauer and H. M. Moeller, J. Symbolic Comput. 6 (1988).
-Divisibility index: O. Bachmann and H. Schoenemann, ISSAC 1998.
-Packed exponents: M. Monagan and R. Pearce, CASC 2007.
+Packed exponents and heap division: M. Monagan and R. Pearce, CASC 2007.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import compress
-from operator import getitem, or_
+from operator import lshift
 from typing import Callable, Sequence
 
 from .base import Scalar, SparseElement, _accumulate, _exact_quotient
 from .monomial import Monomial
-from .orders import DEFAULT_ORDER
 from .poly import Poly
 
 PAIR_LIMIT_ENV = "WEYLKIT_GB_MAX_PAIRS"
@@ -74,63 +73,6 @@ def _pair_limit() -> int | None:
     return limit
 
 
-class _LeadingTerms:
-    """Leading terms of a basis in list order, indexed for divisibility.
-
-    For each slot the index keeps the sorted distinct nonzero exponents the
-    leading monomials have there, and a parallel list of bitmasks one longer:
-    entry k has bit i set when leading monomial i has at least the k-th of
-    those exponents there, and the last entry is 0.  So ``bisect_right`` on
-    a monomial's exponent in a slot picks the mask of the leading monomials
-    whose exponent there exceeds it.  A leading monomial divides iff no slot
-    picks it: ``_all`` minus the OR of the picked masks holds exactly the
-    divisors, and its lowest set bit is the first of them in list order.
-    Zero exponents leave a slot untouched, so ``add`` works on its
-    monomial's support only, and the index grows with the supports of the
-    leading monomials, never with an exponent's size.  A leading coefficient
-    of 1 is recorded as None, so division by a monic element skips the
-    scalar division.
-    """
-
-    __slots__ = ("monomials", "coefficients", "_exps", "_over", "_all", "_positions")
-
-    def __init__(self, slots: int):
-        self.monomials: list[Monomial] = []
-        self.coefficients: list[Scalar | None] = []
-        self._exps: list[list[int]] = [[] for _ in range(slots)]
-        self._over = [[0] for _ in range(slots)]
-        self._all = 0
-        self._positions = tuple(range(slots))
-
-    def add(self, lm: Monomial, lc: Scalar) -> None:
-        bit = 1 << len(self.monomials)
-        self.monomials.append(lm)
-        self.coefficients.append(None if lc == 1 else lc)
-        slots = lm.zexp + lm.dexp
-        for s in compress(self._positions, slots):
-            e = slots[s]
-            exps = self._exps[s]
-            over = self._over[s]
-            k = bisect_left(exps, e)
-            if k == len(exps) or exps[k] != e:
-                # A new exponent starts with the mask of the next larger one.
-                exps.insert(k, e)
-                over.insert(k, over[k])
-            for j in range(k + 1):
-                over[j] |= bit
-        self._all |= bit
-
-    def first_divisor(self, mono: Monomial) -> int:
-        """Index of the first leading monomial dividing ``mono``, else -1."""
-        above = reduce(
-            or_,
-            map(getitem, self._over, map(bisect_right, self._exps, mono.zexp + mono.dexp)),
-            0,
-        )
-        bits = self._all & ~above
-        return (bits & -bits).bit_length() - 1
-
-
 def reduce_element(
     element: SparseElement,
     basis: Sequence[SparseElement],
@@ -141,17 +83,30 @@ def reduce_element(
     Returns the normal form, or ``(normal_form, cofactors)`` with
     ``element == sum(cofactors[i] * basis[i]) + normal_form`` when ``track``
     is set.  Terms are processed from the top down; the first basis element
-    whose leading monomial divides wins.  The leading terms of ``basis`` are
-    indexed afresh on every call, with a fresh step table;
-    ``LeftIdeal.reduce`` reuses its basis's index and step table.
+    whose leading monomial divides wins.  Each call packs the monic
+    multiples of ``basis`` afresh, with an empty step table, and divides by
+    them; each cofactor is then scaled by 1/lc of its element.
+    ``LeftIdeal.reduce`` reuses its basis's packing and step table.
     """
     _same_ring(basis, type(element), element.ambient, "division")
-    leading = _LeadingTerms(2 * element.ambient)
+    if any(g.is_zero() for g in basis):
+        raise ValueError("zero divisor in basis")
+    degree = max(
+        [m.total_degree() for m in element._terms] + [g.total_degree() for g in basis], default=0
+    )
+    packed = _PackedBasis(
+        _PackedExponents(2 * element.ambient, degree), type(element)._packed_left_terms
+    )
     for g in basis:
-        if g.is_zero():
-            raise ValueError("zero divisor in basis")
-        leading.add(g.leading_monomial(), g.leading_coefficient())
-    return _divide(dict(element._terms), element._make, basis, leading, track, {})
+        packed.append(*_packed(packed.px, g))
+    if not track:
+        return packed.read(element, False)
+    remainder, cofactors = packed.read(element, True)
+    for i, g in enumerate(basis):
+        lc = g.leading_coefficient()
+        if lc != 1:
+            cofactors[i] = cofactors[i].scaled(_exact_quotient(1, lc))
+    return remainder, cofactors
 
 
 def _same_ring(elements: Sequence[SparseElement], kind: type, ambient: int, what: str) -> None:
@@ -161,88 +116,6 @@ def _same_ring(elements: Sequence[SparseElement], kind: type, ambient: int, what
             raise TypeError(f"mixed element types in {what}")
         if g.ambient != ambient:
             raise ValueError(f"ambient mismatch in {what}")
-
-
-# A step-table entry for a monomial no leading monomial divides.
-_IRREDUCIBLE = "irreducible"
-
-
-def _divide(
-    work: dict[Monomial, Scalar],
-    make: Callable[[dict[Monomial, Scalar]], SparseElement],
-    basis: Sequence[SparseElement],
-    leading: _LeadingTerms,
-    track: bool,
-    steps: dict,
-):
-    """``reduce_element`` on a checked basis, given its indexed leading terms
-    and its step table.
-
-    The dividend is ``work``, a dict of terms that the division consumes;
-    ``make``, the ``_make`` of any element of the ring, wraps the results.
-    The live terms stay in ``work`` and their monomials sit in a heap that
-    pops the largest first (Monagan-Pearce style).  Every term a step adds
-    lies strictly below that step's leading monomial, so a heap entry whose
-    term has already cancelled or moved to the remainder is simply skipped; a
-    term that cancels and then reappears is pushed again.
-
-    ``steps`` maps each monomial this basis has divided to ``_IRREDUCIBLE``
-    or to its divisor index, quotient, divisor leading coefficient and the
-    terms of quotient * basis[i] with their heap entries.  The leading term
-    is left out, as it cancels the popped term exactly.  A monomial met for
-    the first time gets its divisor from the bitmask index of ``leading``
-    (Bachmann-Schoenemann style), not a scan of the basis, and its entry is
-    filled then; a step found there skips the divisor search, the quotient,
-    the product and the heap keys.  A monic divisor needs no scalar
-    division.  The cofactors are collected only when ``track`` is set.
-    """
-    heap_key = DEFAULT_ORDER.heap_key
-    first_divisor = leading.first_divisor
-    monomials = leading.monomials
-    coefficients = leading.coefficients
-    heap = [(heap_key(mono), mono) for mono in work]
-    heapq.heapify(heap)
-    remainder: dict[Monomial, Scalar] = {}
-    cofactors = [{} for _ in basis] if track else None
-    while heap:
-        mono = heapq.heappop(heap)[1]
-        coeff = work.get(mono)
-        if coeff is None:
-            continue
-        step = steps.get(mono)
-        if step is None:
-            i = first_divisor(mono)
-            if i < 0:
-                step = _IRREDUCIBLE
-            else:
-                quotient = mono.quotient(monomials[i])
-                step = (i, quotient, coefficients[i], [
-                    (term, c, (heap_key(term), term))
-                    for term, c in basis[i]._left_terms(quotient, 1)
-                    if term != mono
-                ])
-            steps[mono] = step
-        if step is _IRREDUCIBLE:
-            remainder[mono] = work.pop(mono)
-            continue
-        i, quotient, lc, terms = step
-        factor = coeff if lc is None else _exact_quotient(coeff, lc)
-        del work[mono]
-        for term, c, entry in terms:
-            c *= factor
-            acc = work.get(term)
-            if acc is None:
-                work[term] = -c
-                heapq.heappush(heap, entry)
-            elif acc == c:
-                del work[term]
-            else:
-                work[term] = acc - c
-        if track:
-            cofactors[i][quotient] = factor
-    if track:
-        return make(remainder), [make(cof) for cof in cofactors]
-    return make(remainder)
 
 
 class _PackedExponents:
@@ -267,7 +140,7 @@ class _PackedExponents:
       above the complemented fields, the last slot on top: degree reverse
       lexicographic, as ``DEFAULT_ORDER``.
 
-    Buchberger keys its terms by the entry ``a - (degree << bits)``: entries
+    Division keys its terms by the entry ``a - (degree << bits)``: entries
     sort opposite to the term order, so a min-heap of them pops the largest
     term first, and ``entry & mask`` gives a back.  The guard-bit tests read
     an entry as its packed monomial, since they look at the low ``bits`` only
@@ -278,7 +151,8 @@ class _PackedExponents:
     """
 
     __slots__ = (
-        "slots", "width", "limit", "guard", "ones", "field", "top", "bits", "mask", "half"
+        "slots", "width", "limit", "guard", "ones", "field", "top", "bits", "mask", "half",
+        "shifts",
     )
 
     def __init__(self, slots: int, degree: int):
@@ -294,13 +168,13 @@ class _PackedExponents:
         self.mask = (1 << self.bits) - 1
         # The companion block starts here, half-way up.
         self.half = slots // 2 * width
+        self.shifts = range(0, self.bits, width)
 
     def pack(self, exponents: Sequence[int]) -> int:
-        width = self.width
-        return sum(e << (s * width) for s, e in enumerate(exponents) if e)
+        return sum(map(lshift, exponents, self.shifts))
 
     def entry(self, exponents: Sequence[int]) -> int:
-        return self.pack(exponents) - (sum(exponents) << self.bits)
+        return sum(map(lshift, exponents, self.shifts)) - (sum(exponents) << self.bits)
 
     def support(self, packed: int) -> int:
         """The guard bits of the nonzero fields of a packed monomial or entry."""
@@ -344,10 +218,16 @@ class _PackedBasis:
     Element i is the list ``terms[i]`` of triples (entry, coefficient,
     support), with ``leads[i]`` the entry of its leading monomial and
     ``packed[i]`` that monomial packed.  ``left_terms`` is the ring's
-    ``_packed_left_terms``, the product kernel on entries.
+    ``_packed_left_terms``, the product kernel on entries.  Elements are
+    only ever appended.
+
+    Three tables serve repeated reads: ``steps``, the step table that
+    ``read`` passes to ``divide``, and ``entries`` and ``monomials``, which
+    map the monomials a read has met to their entries and back.  They hold
+    for the current packing only, so ``repack`` drops them.
     """
 
-    __slots__ = ("px", "left_terms", "terms", "leads", "packed")
+    __slots__ = ("px", "left_terms", "terms", "leads", "packed", "steps", "entries", "monomials")
 
     def __init__(self, px: _PackedExponents, left_terms: Callable):
         self.px = px
@@ -355,6 +235,9 @@ class _PackedBasis:
         self.terms: list[list[tuple[int, Scalar, int]]] = []
         self.leads: list[int] = []
         self.packed: list[int] = []
+        self.steps: dict[int, int | tuple[int, list[tuple[int, Scalar]]]] = {}
+        self.entries: dict[Monomial, int] = {}
+        self.monomials: dict[int, Monomial] = {}
 
     def append(self, work: dict[int, Scalar], lead: int) -> None:
         """Append the monic multiple of the element with terms ``work`` and
@@ -370,7 +253,7 @@ class _PackedBasis:
         self.packed.append(lead & self.px.mask)
 
     def repack(self, px: _PackedExponents) -> None:
-        """Move every element to the packing ``px``."""
+        """Move every element to the packing ``px``; the tables start empty."""
         old, self.px = self.px, px
         support = px.support
         for terms in self.terms:
@@ -379,72 +262,148 @@ class _PackedBasis:
                 terms[k] = (e, c, support(e))
         self.leads[:] = (px.entry(old.exponents(e)) for e in self.leads)
         self.packed[:] = (e & px.mask for e in self.leads)
+        self.steps = {}
+        self.entries = {}
+        self.monomials = {}
 
-    def first_divisor(self, entry: int) -> int:
-        """Index of the first leading monomial dividing ``entry``'s, else -1."""
+    def symbols(self) -> _PackedBasis:
+        """The principal symbols of these operators on the same packing: the
+        terms of each element at its leading degree, in the symbol ring."""
+        out = _PackedBasis(self.px, Poly._packed_left_terms)
+        bits = self.px.bits
+        for terms, lead in zip(self.terms, self.leads):
+            top = lead >> bits  # minus the degree
+            out.terms.append([t for t in terms if t[0] >> bits == top])
+        out.leads[:] = self.leads
+        out.packed[:] = self.packed
+        return out
+
+    def first_divisor(self, entry: int, start: int = 0) -> int:
+        """Index of the first leading monomial from ``start`` on dividing
+        ``entry``'s, else -1."""
         guard = self.px.guard
         guarded = entry | guard
-        for i, p in enumerate(self.packed):
+        for i, p in enumerate(self.packed[start:] if start else self.packed, start):
             if (guarded - p) & guard == guard:
                 return i
         return -1
 
-    def divide(self, work: dict[int, Scalar]) -> dict[int, Scalar]:
+    def divide(
+        self, work: dict[int, Scalar], steps: dict, cofactors: list[dict] | None = None
+    ) -> dict[int, Scalar]:
         """Remainder of the terms ``work`` under left division; consumes them.
 
-        As ``_divide``: a min-heap of entries pops the largest live term, the
-        first element in list order whose leading monomial divides it wins,
-        and each step streams the divisor's product into ``work``.  The
-        remainder's terms are added in descending order, its leading one
-        first.
+        A min-heap of entries pops the largest live term (Monagan-Pearce
+        style).  The first element in list order whose leading monomial
+        divides it wins, and the step streams that element's multiple into
+        ``work``.  Every term a step adds lies strictly below the popped
+        one, so a heap entry whose term has cancelled or moved to the
+        remainder is skipped, and a term that cancels and reappears is
+        pushed again.  The remainder's terms are added in descending order,
+        its leading one first.
+
+        ``steps``, the step table, maps each entry e it has met either to
+        the number of elements e was found irreducible by, or to its divisor
+        i and the terms of -(e - lead_i) * g_i, the top term left out as it
+        cancels e exactly.  Elements are only appended, so a count below
+        ``len(leads)`` resumes the list-order scan there, and a stored
+        divisor stays the first.  A known step costs no scan and no product.
+        With ``cofactors``, cofactors[i] collects the quotient entries and
+        coefficients of element i.
         """
-        px = self.px
-        first_divisor = self.first_divisor
-        left_terms = self.left_terms
-        leads = self.leads
-        terms = self.terms
+        held = len(self.leads)
+        pop = heapq.heappop
+        push = heapq.heappush
         heap = list(work)
         heapq.heapify(heap)
         remainder: dict[int, Scalar] = {}
         while heap:
-            e = heapq.heappop(heap)
+            e = pop(heap)
             coeff = work.get(e)
             if coeff is None:
                 continue
-            i = first_divisor(e)
-            if i < 0:
-                remainder[e] = work.pop(e)
-                continue
-            # The divisor is monic: the step's top term cancels ``e`` exactly.
-            for term, c in left_terms(px, e - leads[i], coeff, terms[i]):
+            step = steps.get(e, 0)
+            if type(step) is int:
+                i = self.first_divisor(e, step) if step < held else -1
+                if i < 0:
+                    steps[e] = held
+                    remainder[e] = work.pop(e)
+                    continue
+                product = self.left_terms(self.px, e - self.leads[i], -1, self.terms[i])
+                step = steps[e] = (i, [(t, c) for t, c in product if t != e])
+            i, product = step
+            del work[e]
+            for term, c in product:
+                c *= coeff
                 acc = work.get(term)
                 if acc is None:
-                    work[term] = -c
-                    heapq.heappush(heap, term)
-                elif acc == c:
-                    del work[term]
+                    work[term] = c
+                    push(heap, term)
                 else:
-                    work[term] = acc - c
+                    acc += c
+                    if acc:
+                        work[term] = acc
+                    else:
+                        del work[term]
+            if cofactors is not None:
+                cofactors[i][e - self.leads[i]] = coeff
         return remainder
 
-    def elements(self, make: Callable) -> tuple[list[SparseElement], _LeadingTerms]:
-        """The elements as ``make`` builds them, with the index of their
-        leading terms."""
-        px = self.px
-        m = px.slots // 2
-        out: list[SparseElement] = []
-        leading = _LeadingTerms(px.slots)
-        for terms, lead in zip(self.terms, self.leads):
-            clean: dict[Monomial, Scalar] = {}
-            for e, c, _ in terms:
-                exps = px.exponents(e)
-                mono = Monomial(tuple(exps[:m]), tuple(exps[m:]))
-                clean[mono] = c
-                if e == lead:
-                    lm = mono
-            out.append(make(clean, lm))
-            leading.add(lm, 1)
-        return out, leading
+    def monomial(self, entry: int) -> Monomial:
+        """The monomial of ``entry``, through ``monomials``."""
+        mono = self.monomials.get(entry)
+        if mono is None:
+            exps = self.px.exponents(entry)
+            m = self.px.slots // 2
+            mono = self.monomials[entry] = Monomial(tuple(exps[:m]), tuple(exps[m:]))
+            self.entries[mono] = entry
+        return mono
+
+    def _unpacked(self, terms: dict[int, Scalar]) -> dict[Monomial, Scalar]:
+        get = self.monomials.get
+        monomial = self.monomial
+        return {get(e) or monomial(e): c for e, c in terms.items()}
+
+    def read(self, element: SparseElement, track: bool):
+        """Left division of ``element``, of this basis's ring, returned as
+        ``reduce_element`` returns it for a monic basis.
+
+        The dividend is packed through ``entries``; a monomial of degree at
+        or above the field limit first repacks the basis for the dividend's
+        degree.  The remainder, and the cofactors when ``track`` is set, are
+        unpacked through ``monomials``.
+        """
+        get = self.entries.get
+        work: dict[int, Scalar] = {}
+        for mono, c in element._terms.items():
+            e = get(mono)
+            if e is None:
+                px = self.px
+                slots = mono.zexp + mono.dexp
+                degree = sum(slots)
+                if degree >= px.limit:
+                    top = max(m.total_degree() for m in element._terms)
+                    self.repack(_PackedExponents(px.slots, top))
+                    return self.read(element, track)
+                e = self.entries[mono] = px.pack(slots) - (degree << px.bits)
+                self.monomials[e] = mono
+            work[e] = c
+        make = element._make
+        if not track:
+            return make(self._unpacked(self.divide(work, self.steps)))
+        cofactors = [{} for _ in self.leads]
+        remainder = self.divide(work, self.steps, cofactors)
+        return make(self._unpacked(remainder)), [
+            make(self._unpacked(cof)) for cof in cofactors
+        ]
+
+    def elements(self, make: Callable) -> list[SparseElement]:
+        """The elements as ``make`` builds them."""
+        monomial = self.monomial
+        return [
+            make({monomial(e): c for e, c, _ in terms}, monomial(lead))
+            for terms, lead in zip(self.terms, self.leads)
+        ]
 
 
 def _variable_support(terms: list[tuple[int, Scalar, int]], half: int) -> int:
@@ -461,25 +420,23 @@ def _variable_support(terms: list[tuple[int, Scalar, int]], half: int) -> int:
 class GroebnerBasis:
     """Reduced left Groebner basis, monic, sorted ascending by leading monomial.
 
-    ``leading`` indexes the leading terms of ``elements`` for division and is
-    built with them; no index is added to after a basis holds it.  ``_steps``
-    is the step table that ``LeftIdeal.reduce`` fills as it divides (see
-    ``_divide``); it lives as long as the basis.  The counters describe the
-    Buchberger run that built it: S-pairs reduced, how many of those reduced
-    to zero, and pairs skipped by the chain and by the product (commuting
-    generators) criterion.
+    ``packed`` holds the same elements on packed exponents, None for the
+    zero ideal.  Every read divides there, and its step table and monomial
+    caches (see ``_PackedBasis``) live as long as the basis.  The counters
+    describe the Buchberger run that built it: S-pairs reduced, how many of
+    those reduced to zero, and pairs skipped by the chain and by the product
+    (commuting generators) criterion.
     """
 
     elements: tuple[SparseElement, ...]
-    leading: _LeadingTerms = field(repr=False, compare=False)
+    packed: _PackedBasis | None = field(repr=False, compare=False)
     pairs_processed: int
     reductions_to_zero: int
     pairs_skipped_chain: int
     pairs_skipped_commuting: int
-    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(self.leading.monomials)
+        return tuple(g.leading_monomial() for g in self.elements)
 
 
 def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
@@ -510,9 +467,12 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     Monomials are built once, for the reduced basis.  Degrevlex refines
     degree and a division step adds only smaller terms, so no term of a
     reduction is of higher degree than its pair's lcm, which the fields hold.
-    Each basis element also keeps a bitmask of the variables it involves (0
-    for ``Poly``), so the product criterion is two integer tests: lcm(i, h)
-    is the sum of the packed monomials, and the variable masks are disjoint.
+    Each basis element also keeps the support of its leading monomial (the
+    guard bits of its nonzero fields) and a bitmask of the variables it
+    involves (0 for ``Poly``), so the product criterion is two integer
+    tests: the leading supports are disjoint, when lcm(i, h) is the sum of
+    the packed monomials and no ``lcm`` is taken, and so are the variable
+    masks.  Each division gets a fresh step table.
     The fields start wide enough for twice the generators' largest degree.
     A leading monomial of higher degree widens them: the basis, the incoming
     element and the pending lcms are repacked, and the queue is rebuilt from
@@ -521,7 +481,7 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     limit = _pair_limit()
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return GroebnerBasis((), _LeadingTerms(0), 0, 0, 0, 0)
+        return GroebnerBasis((), None, 0, 0, 0, 0)
     kind = type(gens[0])
     _same_ring(gens, kind, gens[0].ambient, "generators")
 
@@ -533,7 +493,9 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
     terms = basis.terms
     packed = basis.packed
     left_terms = basis.left_terms
-    # Per basis element: the variables it involves.
+    # Per basis element: the support of its leading monomial, and the
+    # variables it involves.
+    lead_supports: list[int] = []
     supports: list[int] = []
     # Indices whose leading monomial no later one divides: only these get new pairs.
     active: list[int] = []
@@ -551,6 +513,7 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
             basis.repack(px)
             work = {px.entry(old.exponents(e)): c for e, c in work.items()}
             lead = px.entry(old.exponents(lead))
+            lead_supports[:] = map(px.support, packed)
             if not commutative:
                 supports[:] = (_variable_support(t, px.half) for t in terms)
             for i, k in pending:
@@ -562,6 +525,7 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
         j = len(leads)
         basis.append(work, lead)
         p_h = packed[j]
+        lead_h = px.support(p_h)
         s_h = 0 if commutative else _variable_support(terms[j], px.half)
         for (i, k), lcm in list(pending.items()):
             if (
@@ -575,13 +539,15 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
         minimal: list[int] = []
         candidates = []
         for i in active:
-            p_i = packed[i]
-            lcm = lcm_of(p_i, p_h)
-            if lcm == p_i + p_h and not supports[i] & s_h:
-                commuting += 1
-                minimal.append(lcm)
+            if lead_supports[i] & lead_h:
+                lcm = lcm_of(packed[i], p_h)
             else:
-                candidates.append((px.key(lcm), i, lcm))
+                lcm = packed[i] + p_h
+                if not supports[i] & s_h:
+                    commuting += 1
+                    minimal.append(lcm)
+                    continue
+            candidates.append((px.key(lcm), i, lcm))
         # Ascending in the term order, every proper divisor comes first.
         candidates.sort()
         for key, i, lcm in candidates:
@@ -596,6 +562,7 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
                 heapq.heappush(queue, (key, i, j))
         active = [i for i in active if ((packed[i] | guard) - p_h) & guard != guard]
         active.append(j)
+        lead_supports.append(lead_h)
         supports.append(s_h)
 
     for g in gens:
@@ -617,16 +584,15 @@ def buchberger(generators: Sequence[SparseElement]) -> GroebnerBasis:
         work: dict[int, Scalar] = {}
         _accumulate(work, left_terms(px, -key - leads[i], 1, terms[i]))
         _accumulate(work, left_terms(px, -key - leads[j], -1, terms[j]))
-        remainder = basis.divide(work)
+        remainder = basis.divide(work, {})
         if remainder:
             insert(remainder, next(iter(remainder)))
         else:
             zero_reductions += 1
 
-    reduced, reduced_leading = _interreduce(basis).elements(gens[0]._make)
-    return GroebnerBasis(
-        tuple(reduced), reduced_leading, processed, zero_reductions, chain, commuting
-    )
+    reduced = _interreduce(basis)
+    elements = tuple(reduced.elements(gens[0]._make))
+    return GroebnerBasis(elements, reduced, processed, zero_reductions, chain, commuting)
 
 
 def _interreduce(basis: _PackedBasis) -> _PackedBasis:
@@ -644,7 +610,9 @@ def _interreduce(basis: _PackedBasis) -> _PackedBasis:
         # Minimal first: drop anything whose leading monomial another one divides.
         if reduced.first_divisor(lead) >= 0:
             continue
-        remainder = reduced.divide({e: c for e, c, _ in basis.terms[i]})
+        # The scan above is recorded, so the division does not repeat it.
+        steps = {lead: len(reduced.leads)}
+        remainder = reduced.divide({e: c for e, c, _ in basis.terms[i]}, steps)
         if next(iter(remainder), None) != lead:
             raise AssertionError("minimal basis element lost its leading term")
         reduced.append(remainder, lead)
@@ -652,15 +620,15 @@ def _interreduce(basis: _PackedBasis) -> _PackedBasis:
 
 
 def _ideal_from_reduced_basis(
-    elements: Sequence[SparseElement], leading: _LeadingTerms
+    elements: Sequence[SparseElement], packed: _PackedBasis
 ) -> "LeftIdeal":
     """Left ideal whose generators already are its reduced Groebner basis,
-    with ``leading`` the index of their leading terms.
+    with ``packed`` the same elements on packed exponents.
 
     No Buchberger run builds the basis, so its pair counters are all 0.
     """
     ideal = LeftIdeal(elements)
-    ideal._basis = GroebnerBasis(tuple(elements), leading, 0, 0, 0, 0)
+    ideal._basis = GroebnerBasis(tuple(elements), packed, 0, 0, 0, 0)
     return ideal
 
 
@@ -692,19 +660,21 @@ class LeftIdeal:
 
     def reduce(self, element: SparseElement, track: bool = False):
         """Left division of ``element``, of this ideal's ring, by the basis;
-        returns as ``reduce_element``.  Each step reuses the basis's step
-        table, so a monomial any earlier call divided costs no new product."""
-        _same_ring((element,), self._kind, self._ambient, "division")
-        basis = self.groebner_basis()
-        return _divide(
-            dict(element._terms), element._make, basis.elements, basis.leading, track, basis._steps
-        )
+        returns as ``reduce_element``.  It divides on the basis's packing and
+        step table, so a monomial any earlier call divided costs no new
+        product."""
+        if type(element) is not self._kind or element._ambient != self._ambient:
+            _same_ring((element,), self._kind, self._ambient, "division")
+        packed = (self._basis or self.groebner_basis()).packed
+        if packed is None:
+            return (element, []) if track else element
+        return packed.read(element, track)
 
     def contains(self, element: SparseElement) -> bool:
         return self.reduce(element).is_zero()
 
     def is_unit(self) -> bool:
-        return any(lm.is_unit() for lm in self.groebner_basis().leading.monomials)
+        return any(lm.is_unit() for lm in self.groebner_basis().leading_monomials())
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self._generators)

@@ -4,6 +4,11 @@ The order reads the 2m slot vector (z block then companion block).  It is
 total, multiplicative, has the unit monomial smallest and refines total
 degree, which is what division, Buchberger and the Bernstein-filtration
 graded ideal rely on.
+
+``key`` orders ``Monomial`` tuples: leading monomials, printing.  Division
+and Buchberger run on packed exponents instead, whose entries sort exactly
+opposite to ``key`` (``groebner._PackedExponents``), so a min-heap of them
+pops the largest monomial first.
 """
 
 from __future__ import annotations
@@ -25,12 +30,6 @@ class TermOrder:
         """
         slots = mono.slots()
         return (sum(slots), tuple(-e for e in reversed(slots)))
-
-    def heap_key(self, mono: Monomial):
-        """Min-heap key: ``key`` negated entry by entry, so it sorts exactly
-        opposite to ``key`` and a heap pops the largest monomial first."""
-        slots = mono.slots()
-        return (-sum(slots), slots[::-1])
 
 
 DEFAULT_ORDER = TermOrder()

@@ -12,9 +12,11 @@ The oracles deliberately avoid the engine's closed-form algorithms:
   multiplication,
 * left division is recomputed by the textbook loop that rescans for the
   leading term and rebuilds the element after every step,
-* Buchberger's division is recomputed on ``Monomial`` tuples, each step's
-  product streamed from ``_left_terms``, where the package runs it on packed
-  exponents,
+* division is recomputed on ``Monomial`` tuples, with a list-order divisor
+  scan and a heap key of its own, each step's product streamed from
+  ``_left_terms``, where the package divides on packed exponents,
+* a packed basis is decoded field by field and compared with what its
+  elements' monomials say it must hold,
 * S-polynomials are built as whole elements, which ``buchberger`` never
   does, so the final bases' S-pairs are re-checked by code it does not share,
 * Groebner bases are recomputed by Buchberger's algorithm with no pair
@@ -56,13 +58,7 @@ from weylkit import (
     section_from_operator,
 )
 from weylkit.base import _accumulate, _exact_quotient
-from weylkit.groebner import (
-    _interreduce,
-    _LeadingTerms,
-    _packed,
-    _PackedBasis,
-    _PackedExponents,
-)
+from weylkit.groebner import _interreduce, _packed, _PackedBasis, _PackedExponents
 from weylkit.linalg import mat_mul, rank, solve
 from weylkit.weyl import d as d_op, z as z_op
 
@@ -465,11 +461,10 @@ def reference_buchberger(generators) -> GroebnerBasis:
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return GroebnerBasis((), _LeadingTerms(0), 0, 0, 0, 0)
+        return GroebnerBasis((), None, 0, 0, 0, 0)
     order_key = DEFAULT_ORDER.key
     basis = []
-    leading = _LeadingTerms(2 * gens[0].ambient)
-    lms = leading.monomials
+    lms: list[Monomial] = []
     active: list[int] = []
     pending: dict[tuple[int, int], Monomial] = {}
     queue: list = []
@@ -516,7 +511,7 @@ def reference_buchberger(generators) -> GroebnerBasis:
         active = [i for i in active if not lm_h.divides(lms[i])]
         active.append(j)
         basis.append(h)
-        leading.add(lm_h, h.leading_coefficient())
+        lms.append(lm_h)
 
     for g in gens:
         insert(g)
@@ -527,7 +522,7 @@ def reference_buchberger(generators) -> GroebnerBasis:
             continue
         processed += 1
         spoly = s_polynomial(basis[i], basis[j])
-        remainder = streaming_divide(dict(spoly.terms), spoly._make, basis, leading)
+        remainder = streaming_divide(dict(spoly.terms), spoly._make, basis)
         if remainder.is_zero():
             zero_reductions += 1
         else:
@@ -538,13 +533,19 @@ def reference_buchberger(generators) -> GroebnerBasis:
     )
 
 
-def streaming_divide(work, make, basis, leading: _LeadingTerms):
-    """Left division of the terms ``work`` by ``basis`` on ``Monomial`` tuples,
-    with ``leading`` the index of its leading terms: each step streams
-    quotient * basis[i] from ``_left_terms`` into ``work``, with no step
-    table and no packing."""
-    heap_key = DEFAULT_ORDER.heap_key
-    heap = [(heap_key(mono), mono) for mono in work]
+def _descending(mono: Monomial) -> tuple:
+    """Heap key that pops the largest monomial in degrevlex first: the
+    highest degree, then the smallest exponent in the last differing slot."""
+    return -mono.total_degree(), tuple(reversed(mono.zexp + mono.dexp))
+
+
+def streaming_divide(work, make, basis):
+    """Left division of the terms ``work`` by ``basis`` on ``Monomial`` tuples:
+    the divisor is found by scanning the leading monomials in list order, and
+    each step streams quotient * basis[i] from ``_left_terms`` into ``work``,
+    with no step table and no packing."""
+    leading = [g.leading_monomial() for g in basis]
+    heap = [(_descending(mono), mono) for mono in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
@@ -552,17 +553,17 @@ def streaming_divide(work, make, basis, leading: _LeadingTerms):
         coeff = work.get(mono)
         if coeff is None:
             continue
-        i = leading.first_divisor(mono)
+        i = next((i for i, lm in enumerate(leading) if lm.divides(mono)), -1)
         if i < 0:
             remainder[mono] = work.pop(mono)
             continue
-        quotient = mono.quotient(leading.monomials[i])
+        quotient = mono.quotient(leading[i])
         factor = _exact_quotient(coeff, basis[i].leading_coefficient())
         for term, c in basis[i]._left_terms(quotient, factor):
             acc = work.get(term)
             if acc is None:
                 work[term] = -c
-                heapq.heappush(heap, (heap_key(term), term))
+                heapq.heappush(heap, (_descending(term), term))
             elif acc == c:
                 del work[term]
             else:
@@ -570,27 +571,62 @@ def streaming_divide(work, make, basis, leading: _LeadingTerms):
     return make(remainder)
 
 
-def one_pass_interreduce(elements) -> list:
-    """The package's one-pass interreduction on packed exponents, for a
-    nonempty list of monic elements of one ring."""
+def fresh_index(elements) -> _PackedBasis | None:
+    """The packed division basis of ``elements``, built from scratch in list
+    order with an empty step table; None for no elements."""
+    if not elements:
+        return None
     px = _PackedExponents(2 * elements[0].ambient, max(g.total_degree() for g in elements))
     basis = _PackedBasis(px, type(elements[0])._packed_left_terms)
     for g in elements:
         basis.append(*_packed(px, g))
-    return _interreduce(basis).elements(elements[0]._make)[0]
+    return basis
 
 
-def fresh_index(elements) -> _LeadingTerms:
-    """Division index of ``elements``, built from scratch in list order."""
-    index = _LeadingTerms(2 * elements[0].ambient if elements else 0)
-    for g in elements:
-        index.add(g.leading_monomial(), g.leading_coefficient())
-    return index
+def one_pass_interreduce(elements) -> list:
+    """The package's one-pass interreduction on packed exponents, for a
+    nonempty list of monic elements of one ring."""
+    return _interreduce(fresh_index(elements)).elements(elements[0]._make)
 
 
-def index_state(index: _LeadingTerms) -> tuple:
-    """Everything a division index holds, for comparing two of them."""
-    return index.monomials, index.coefficients, index._exps, index._over, index._all
+def index_state(basis: _PackedBasis | None) -> list:
+    """What a packed basis holds, decoded field by field whatever its width:
+    per element in list order, its leading exponents twice (from the entry
+    and from the packed monomial) and its sorted terms, each with the slots
+    its support bits mark.  ``unpacked_state`` computes the same from
+    ``Monomial`` tuples."""
+    if basis is None:
+        return []
+    width = basis.px.width
+    slots = range(basis.px.slots)
+    field = (1 << width) - 1
+
+    def decode(packed: int) -> tuple[int, ...]:
+        return tuple((packed >> (s * width)) & field for s in slots)
+
+    def marked(support: int) -> tuple[int, ...]:
+        return tuple(s for s in slots if support >> ((s + 1) * width - 1) & 1)
+
+    return [
+        (decode(lead), decode(p), sorted((decode(e), c, marked(sup)) for e, c, sup in terms))
+        for terms, lead, p in zip(basis.terms, basis.leads, basis.packed)
+    ]
+
+
+def unpacked_state(elements) -> list:
+    """``index_state`` of the packed basis of the monic ``elements``, read
+    straight off their monomials with no packing."""
+    return [
+        (
+            g.leading_monomial().slots(),
+            g.leading_monomial().slots(),
+            sorted(
+                (m.slots(), c, tuple(s for s, e in enumerate(m.slots()) if e))
+                for m, c in g.terms.items()
+            ),
+        )
+        for g in elements
+    ]
 
 
 # -- Dense oracles for the Lie layer ------------------------------------------

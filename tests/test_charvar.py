@@ -26,6 +26,7 @@ from helpers import (
     index_state,
     monomial_ideal,
     random_element,
+    unpacked_state,
 )
 from weylkit import (
     GroebnerBasis,
@@ -260,13 +261,15 @@ def assert_graded_basis_is_the_buchberger_basis(ideal: LeftIdeal) -> None:
     operators = ideal.groebner_basis()
     symbols = [principal_symbol(g) for g in operators.elements]
     assert basis.elements == buchberger(symbols).elements
-    # The graded basis shares the operator basis's index: sound only because
-    # each symbol keeps its operator's leading monomial, with coefficient 1.
+    # The graded basis is packed from the operator basis's packing: sound only
+    # because each symbol keeps its operator's leading monomial, with
+    # coefficient 1.
     for symbol, operator in zip(basis.elements, operators.elements):
         assert symbol.leading_monomial() == operator.leading_monomial()
         assert symbol.leading_coefficient() == 1
-    assert basis.leading is operators.leading
-    assert index_state(basis.leading) == index_state(fresh_index(basis.elements))
+    assert basis.packed.px is operators.packed.px
+    assert basis.packed.leads == operators.packed.leads
+    assert index_state(basis.packed) == unpacked_state(basis.elements)
     assert (
         basis.pairs_processed,
         basis.reductions_to_zero,

@@ -18,6 +18,7 @@ from helpers import (
     reference_buchberger,
     s_polynomial,
     textbook_buchberger,
+    unpacked_state,
 )
 from weylkit import (
     DEFAULT_ORDER,
@@ -33,7 +34,8 @@ from weylkit import (
 from weylkit import Scenario, groebner
 from weylkit.charvar import graded_ideal
 from weylkit.groebner import (
-    _LeadingTerms,
+    _packed,
+    _PackedBasis,
     _PackedExponents,
     _ideal_from_reduced_basis,
 )
@@ -169,17 +171,20 @@ def test_zero_ideal_refuses_elements_of_another_ring():
 
 
 def test_ideal_division_reuses_the_index_its_basis_holds(monkeypatch, n3_scenario):
+    # The packed basis is built once, by the Buchberger run; the graded ideal
+    # takes its symbols from it, and no read packs an element again.
     ideal = n3_scenario.ideal("I1l", {"l": 1})
     basis = ideal.groebner_basis()
+    appends = []
+    original = _PackedBasis.append
+
+    def counting_append(self, work, lead):
+        appends.append(lead)
+        original(self, work, lead)
+
+    monkeypatch.setattr(_PackedBasis, "append", counting_append)
     graded = graded_ideal(ideal)
-    adds = []
-    original = _LeadingTerms.add
-
-    def counting_add(self, lm, lc):
-        adds.append(lm)
-        original(self, lm, lc)
-
-    monkeypatch.setattr(_LeadingTerms, "add", counting_add)
+    assert graded.groebner_basis().packed.px is basis.packed.px
     rng = random.Random("weylkit-index-reuse")
     for x in _division_queries(rng, list(basis.elements), WeylElement, 6):
         ideal.reduce(x)
@@ -188,9 +193,9 @@ def test_ideal_division_reuses_the_index_its_basis_holds(monkeypatch, n3_scenari
     assert not ideal.is_unit()
     for g in graded.generators:
         assert graded.contains(g)
-    assert adds == []
+    assert appends == []
     reduce_element(basis.elements[0], basis.elements)
-    assert len(adds) == len(basis.elements)
+    assert len(appends) == len(basis.elements)
 
 
 def test_ideal_contains_and_equal():
@@ -272,7 +277,9 @@ def test_buchberger_matches_criterion_free_oracle(request, scenario, name, l):
     # The packed pair update makes the Monomial one's decisions: same basis,
     # same four counters.
     assert basis == reference_buchberger(gens)
-    assert index_state(basis.leading) == index_state(fresh_index(basis.elements))
+    assert index_state(basis.packed) == unpacked_state(basis.elements)
+    # Each division of the run had its own step table; reads start afresh.
+    assert basis.packed.steps == {}
     assert check_groebner_spairs(gens) >= 1
 
 
@@ -292,7 +299,7 @@ def test_buchberger_matches_criterion_free_oracle_on_random_ideals(monkeypatch):
             continue
         assert basis.elements == textbook_buchberger(gens), [str(g) for g in gens]
         assert basis == reference_buchberger(gens), [str(g) for g in gens]
-        assert index_state(basis.leading) == index_state(fresh_index(basis.elements))
+        assert index_state(basis.packed) == unpacked_state(basis.elements)
         if basis.elements:
             check_groebner_spairs(gens)
         compared += 1
@@ -605,15 +612,18 @@ def test_cached_leading_monomial_matches_a_rescan():
 
 
 def test_heap_key_sorts_opposite_to_the_order_key():
+    # The division's heap keys are packed entries: a min-heap pops the
+    # largest monomial first.
     monomials = [
         Monomial(slots[:2], slots[2:])
         for slots in product(range(5), repeat=4)
         if sum(slots) <= 4
     ]
     assert len(monomials) == 70
+    px = _PackedExponents(4, 4)
     by_key = sorted(monomials, key=DEFAULT_ORDER.key)
-    assert sorted(monomials, key=DEFAULT_ORDER.heap_key) == by_key[::-1]
-    assert len({DEFAULT_ORDER.heap_key(m) for m in monomials}) == len(monomials)
+    assert sorted(monomials, key=lambda m: px.entry(m.slots())) == by_key[::-1]
+    assert len({px.entry(m.slots()) for m in monomials}) == len(monomials)
 
 
 def test_ideal_reduce_matches_oracle_and_checks_its_input(n2_scenario):
@@ -645,9 +655,9 @@ TABLE_IDEALS = [
 
 
 def _cold_copy(ideal: LeftIdeal) -> LeftIdeal:
-    """The same reduced basis and index behind an empty step table."""
-    basis = ideal.groebner_basis()
-    return _ideal_from_reduced_basis(basis.elements, basis.leading)
+    """The same reduced basis, freshly packed, behind an empty step table."""
+    elements = ideal.groebner_basis().elements
+    return _ideal_from_reduced_basis(elements, fresh_index(elements))
 
 
 @pytest.mark.parametrize("graded", [False, True])
@@ -671,12 +681,12 @@ def test_the_step_table_changes_no_result(request, scenario, name, l, graded):
                 want = reduce_element(x, basis, track=track)
                 assert got == want
                 assert printed(got, track) == printed(want, track)
-        assert ideal.groebner_basis()._steps
+        assert ideal.groebner_basis().packed.steps
 
 
 def test_the_step_table_is_filled_once_and_owned_by_its_basis(n3_scenario):
     ideal = _cold_copy(n3_scenario.ideal("I1l", {"l": 1}))
-    steps = ideal.groebner_basis()._steps
+    steps = ideal.groebner_basis().packed.steps
     rng = random.Random("weylkit-step-table:once")
     for x in _division_queries(rng, list(ideal.groebner_basis().elements), WeylElement, 6):
         ideal.reduce(x)
@@ -684,7 +694,7 @@ def test_the_step_table_is_filled_once_and_owned_by_its_basis(n3_scenario):
         ideal.reduce(x)
         ideal.reduce(x, track=True)
         assert steps == filled
-    # The graded ideal shares the operator basis's index but not its table:
+    # The graded ideal shares the operator basis's packing but not its table:
     # a symbol read must not replay the Weyl products of operator steps.
     # d3 * g = z3*d3^2 + z5*d3*d5 + 2*d3 divides z3*d3^2 by g, whose symbol
     # step leaves no 2*zeta3.
@@ -696,6 +706,74 @@ def test_the_step_table_is_filled_once_and_owned_by_its_basis(n3_scenario):
     symbol = principal_symbol(x)
     assert graded.reduce(symbol) == reduce_element(symbol, graded.groebner_basis().elements)
     assert graded.contains(symbol)
+
+
+# The bases that nf-queries reads: (scenario, ideal, l).
+NF_BASES = [
+    ("n3_scenario", "I1l", 2),
+    ("n3_scenario", "I3", None),
+    ("n3_scenario", "Idoubleprime", 1),
+    ("n2_scenario", "I1l", 3),
+    ("n2_scenario", "I3", None),
+]
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("scenario, name, l", NF_BASES)
+def test_packed_reads_match_the_rescanning_oracle(request, scenario, name, l, graded):
+    ideal = request.getfixturevalue(scenario).ideal(name, {} if l is None else {"l": l})
+    if graded:
+        ideal = graded_ideal(ideal)
+    ideal = _cold_copy(ideal)
+    basis = list(ideal.groebner_basis().elements)
+    rng = random.Random(f"weylkit-packed-reads:{name}:{l}:{graded}")
+    for x in _division_queries(rng, basis, type(basis[0]), 10):
+        for _ in ("cold", "warm"):
+            remainder, cofactors = ideal.reduce(x, track=True)
+            assert (remainder, cofactors) == naive_reduce(x, basis)
+            rebuilt = remainder
+            for cofactor, g in zip(cofactors, basis):
+                rebuilt = rebuilt + cofactor * g
+            assert rebuilt == x
+            assert ideal.reduce(x) == remainder
+
+
+def test_a_dividend_past_the_field_limit_repacks_the_basis(n2_scenario):
+    ideal = _cold_copy(n2_scenario.ideal("I3"))
+    basis = list(ideal.groebner_basis().elements)
+    packed = ideal.groebner_basis().packed
+    assert ideal.contains(d(3, 4) * z(1, 4))
+    old_px, old_steps = packed.px, packed.steps
+    assert old_steps
+    x = d(1, 4, 40) + z(2, 4) * d(1, 4, 3) * d(2, 4) + z(4, 4)
+    assert x.total_degree() >= old_px.limit
+    remainder = ideal.reduce(x)
+    assert remainder == naive_reduce(x, basis)[0]
+    assert packed.px.width > old_px.width
+    assert packed.steps is not old_steps
+    assert index_state(packed) == unpacked_state(basis)
+    # The second read finds every step in the new table.
+    filled = dict(packed.steps)
+    assert ideal.reduce(x) == remainder
+    assert packed.steps == filled
+    assert ideal.contains(d(3, 4) * z(1, 4))
+
+
+def test_an_irreducible_entry_is_reduced_by_a_divisor_appended_later():
+    px = _PackedExponents(4, 2)
+    packed = _PackedBasis(px, WeylElement._packed_left_terms)
+    first = [d(2, 2), z(2, 2) + 1]
+    for g in first:
+        packed.append(*_packed(px, g))
+    x = z(1, 2) * d(1, 2)
+    entry = px.entry(x.leading_monomial().slots())
+    assert packed.read(x, False) == x
+    assert packed.steps[entry] == 2
+    later = z(1, 2)
+    packed.append(*_packed(px, later))
+    remainder = packed.read(x, False)
+    assert remainder == naive_reduce(x, first + [later])[0] == WeylElement.constant(-1, 2)
+    assert packed.steps[entry][0] == 2
 
 
 def _sympy_oracle(m: int):
@@ -779,24 +857,36 @@ def test_first_divisor_matches_a_list_order_scan(ambient):
         slots = [rng.choice(exponents) for _ in range(2 * ambient)]
         return Monomial(tuple(slots[:ambient]), tuple(slots[ambient:]))
 
+    # Fields wide enough for the product of two draws.
+    px = _PackedExponents(2 * ambient, 4 * ambient * 10**12)
+
+    def entry(mono):
+        return px.entry(mono.slots())
+
     for _ in range(8):
-        index = _LeadingTerms(2 * ambient)
+        index = _PackedBasis(px, WeylElement._packed_left_terms)
         leading: list[Monomial] = []
         for _ in range(rng.randint(1, 24)):
             lm = rng.choice(leading) if leading and rng.random() < 0.2 else draw()
-            index.add(lm, 1)
+            index.append({entry(lm): 1}, entry(lm))
             leading.append(lm)
             queries = [draw() for _ in range(6)] + [lm, rng.choice(leading).mul(draw())]
             for mono in queries:
-                assert index.first_divisor(mono) == _first_divisor_by_scan(leading, mono)
-        assert index.monomials == leading
-        assert index.coefficients == [None] * len(leading)
-    empty = _LeadingTerms(2 * ambient)
-    assert empty.first_divisor(Monomial((0,) * ambient, (0,) * ambient)) == -1
+                first = _first_divisor_by_scan(leading, mono)
+                assert index.first_divisor(entry(mono)) == first
+                # A scan resumed past the first divisor finds the next one.
+                if first >= 0:
+                    later = _first_divisor_by_scan(leading[first + 1 :], mono)
+                    expected = first + 1 + later if later >= 0 else -1
+                    assert index.first_divisor(entry(mono), first + 1) == expected
+        assert index.leads == [entry(lm) for lm in leading]
+    empty = _PackedBasis(px, WeylElement._packed_left_terms)
+    assert empty.first_divisor(entry(Monomial((0,) * ambient, (0,) * ambient))) == -1
 
 
 def test_division_by_a_huge_leading_exponent_returns_at_once():
-    # The index keeps distinct exponents only: nothing is sized by 10**9.
+    # A 10**9 exponent widens the packed fields to 32 bits: nothing is sized
+    # by 10**9 itself.
     g = WeylElement(2, {z_monomial(1, 2, 10**9): 3, z_monomial(2, 2): 1})
     x = WeylElement(
         2,
@@ -811,7 +901,6 @@ def test_division_by_a_huge_leading_exponent_returns_at_once():
     assert time.perf_counter() - started < 0.5
     assert (remainder, cofactors) == naive_reduce(x, [g])
     assert cofactors[0] * g + remainder == x
-    index = _LeadingTerms(4)
-    index.add(g.leading_monomial(), 3)
-    assert [len(exps) for exps in index._exps] == [1, 0, 0, 0]
-    assert index.coefficients == [3]
+    index = fresh_index([g])
+    assert index.px.width == (2 * (10**9 + 1)).bit_length() + 1
+    assert [c for _, c, _ in index.terms[0]] == [1, Fraction(1, 3)]
