@@ -10,15 +10,12 @@ coefficients is ``_exact_quotient``.  The Lie and linear-algebra layers store
 matrix entries, structure constants, character values and points by the same
 rule, through ``_coefficient`` and ``_exact_quotient``.
 
-Subclasses supply a printing dialect and the ring product of two monomials
-through ``_term_product``, which yields (monomial, int) pairs.  Products of
-elements run through one kernel, ``_left_terms``: the terms of
-(coeff * mono) * self, one term of self at a time, with monomials that may
-repeat.  ``*`` accumulates those terms straight into a dict.  A subclass
-may override the kernel with a shorter path that yields the same terms.
-Division, in Buchberger and in reads, does not call it: it multiplies packed
-exponents (see ``groebner._PackedExponents``) through each ring's
-``_packed_left_terms``, the same product on ints.
+Each ring supplies a printing dialect and one product method,
+``_left_terms``: the terms of (coeff * mono) * self, one term of self at a
+time, with monomials that may repeat.  ``*`` accumulates those terms
+straight into a dict.  Division, in Buchberger and in reads, does not call
+it: it multiplies packed exponents (see ``groebner._PackedExponents``)
+through each ring's ``_packed_left_terms``, the same product on ints.
 """
 
 from __future__ import annotations
@@ -215,19 +212,6 @@ class SparseElement:
             if e:
                 base = base * base
         return result
-
-    def _term_product(self, m1: Monomial, m2: Monomial) -> Iterator[tuple[Monomial, int]]:
-        """Terms of the product m1 * m2 with integer coefficients."""
-        raise NotImplementedError
-
-    def _left_terms(self, mono: Monomial, coeff: Scalar) -> Iterator[tuple[Monomial, Scalar]]:
-        """Terms of (coeff * mono) * self; a monomial may repeat and the
-        repeats may cancel, so callers accumulate."""
-        term_product = self._term_product
-        for m2, c2 in self._terms.items():
-            c = coeff * c2
-            for out, k in term_product(mono, m2):
-                yield out, (c if k == 1 else c * k)
 
     # -- leading data ----------------------------------------------------------
 

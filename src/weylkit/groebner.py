@@ -73,19 +73,12 @@ def _pair_limit() -> int | None:
     return limit
 
 
-def reduce_element(
-    element: SparseElement,
-    basis: Sequence[SparseElement],
-    track: bool = False,
-):
-    """Left division of ``element`` by ``basis``.
+def reduce_element(element: SparseElement, basis: Sequence[SparseElement]) -> SparseElement:
+    """Normal form of ``element`` under left division by ``basis``.
 
-    Returns the normal form, or ``(normal_form, cofactors)`` with
-    ``element == sum(cofactors[i] * basis[i]) + normal_form`` when ``track``
-    is set.  Terms are processed from the top down; the first basis element
-    whose leading monomial divides wins.  Each call packs the monic
-    multiples of ``basis`` afresh, with an empty step table, and divides by
-    them; each cofactor is then scaled by 1/lc of its element.
+    Terms are processed from the top down; the first basis element whose
+    leading monomial divides wins.  Each call packs the monic multiples of
+    ``basis`` afresh, with an empty step table, and divides by them.
     ``LeftIdeal.reduce`` reuses its basis's packing and step table.
     """
     _same_ring(basis, type(element), element.ambient, "division")
@@ -99,14 +92,7 @@ def reduce_element(
     )
     for g in basis:
         packed.append(*_packed(packed.px, g))
-    if not track:
-        return packed.read(element, False)
-    remainder, cofactors = packed.read(element, True)
-    for i, g in enumerate(basis):
-        lc = g.leading_coefficient()
-        if lc != 1:
-            cofactors[i] = cofactors[i].scaled(_exact_quotient(1, lc))
-    return remainder, cofactors
+    return packed.read(element)
 
 
 def _same_ring(elements: Sequence[SparseElement], kind: type, ambient: int, what: str) -> None:
@@ -288,9 +274,7 @@ class _PackedBasis:
                 return i
         return -1
 
-    def divide(
-        self, work: dict[int, Scalar], steps: dict, cofactors: list[dict] | None = None
-    ) -> dict[int, Scalar]:
+    def divide(self, work: dict[int, Scalar], steps: dict) -> dict[int, Scalar]:
         """Remainder of the terms ``work`` under left division; consumes them.
 
         A min-heap of entries pops the largest live term (Monagan-Pearce
@@ -308,8 +292,6 @@ class _PackedBasis:
         cancels e exactly.  Elements are only appended, so a count below
         ``len(leads)`` resumes the list-order scan there, and a stored
         divisor stays the first.  A known step costs no scan and no product.
-        With ``cofactors``, cofactors[i] collects the quotient entries and
-        coefficients of element i.
         """
         held = len(self.leads)
         pop = heapq.heappop
@@ -331,7 +313,7 @@ class _PackedBasis:
                     continue
                 product = self.left_terms(self.px, e - self.leads[i], -1, self.terms[i])
                 step = steps[e] = (i, [(t, c) for t, c in product if t != e])
-            i, product = step
+            _, product = step
             del work[e]
             for term, c in product:
                 c *= coeff
@@ -345,17 +327,19 @@ class _PackedBasis:
                         work[term] = acc
                     else:
                         del work[term]
-            if cofactors is not None:
-                cofactors[i][e - self.leads[i]] = coeff
         return remainder
+
+    def unpack(self, entry: int) -> Monomial:
+        """The monomial of ``entry``, built afresh."""
+        exps = self.px.exponents(entry)
+        m = self.px.slots // 2
+        return Monomial(tuple(exps[:m]), tuple(exps[m:]))
 
     def monomial(self, entry: int) -> Monomial:
         """The monomial of ``entry``, through ``monomials``."""
         mono = self.monomials.get(entry)
         if mono is None:
-            exps = self.px.exponents(entry)
-            m = self.px.slots // 2
-            mono = self.monomials[entry] = Monomial(tuple(exps[:m]), tuple(exps[m:]))
+            mono = self.monomials[entry] = self.unpack(entry)
             self.entries[mono] = entry
         return mono
 
@@ -364,14 +348,13 @@ class _PackedBasis:
         monomial = self.monomial
         return {get(e) or monomial(e): c for e, c in terms.items()}
 
-    def read(self, element: SparseElement, track: bool):
-        """Left division of ``element``, of this basis's ring, returned as
-        ``reduce_element`` returns it for a monic basis.
+    def read(self, element: SparseElement) -> SparseElement:
+        """Normal form of ``element``, of this basis's ring, under left
+        division.
 
         The dividend is packed through ``entries``; a monomial of degree at
         or above the field limit first repacks the basis for the dividend's
-        degree.  The remainder, and the cofactors when ``track`` is set, are
-        unpacked through ``monomials``.
+        degree.  The remainder is unpacked through ``monomials``.
         """
         get = self.entries.get
         work: dict[int, Scalar] = {}
@@ -384,24 +367,18 @@ class _PackedBasis:
                 if degree >= px.limit:
                     top = max(m.total_degree() for m in element._terms)
                     self.repack(_PackedExponents(px.slots, top))
-                    return self.read(element, track)
+                    return self.read(element)
                 e = self.entries[mono] = px.pack(slots) - (degree << px.bits)
                 self.monomials[e] = mono
             work[e] = c
-        make = element._make
-        if not track:
-            return make(self._unpacked(self.divide(work, self.steps)))
-        cofactors = [{} for _ in self.leads]
-        remainder = self.divide(work, self.steps, cofactors)
-        return make(self._unpacked(remainder)), [
-            make(self._unpacked(cof)) for cof in cofactors
-        ]
+        return element._make(self._unpacked(self.divide(work, self.steps)))
 
     def elements(self, make: Callable) -> list[SparseElement]:
-        """The elements as ``make`` builds them."""
-        monomial = self.monomial
+        """The elements as ``make`` builds them.  The read caches stay
+        empty: a read fills them with the monomials it meets only."""
+        unpack = self.unpack
         return [
-            make({monomial(e): c for e, c, _ in terms}, monomial(lead))
+            make({unpack(e): c for e, c, _ in terms}, unpack(lead))
             for terms, lead in zip(self.terms, self.leads)
         ]
 
@@ -658,17 +635,16 @@ class LeftIdeal:
             self._basis = buchberger(self._generators)
         return self._basis
 
-    def reduce(self, element: SparseElement, track: bool = False):
-        """Left division of ``element``, of this ideal's ring, by the basis;
-        returns as ``reduce_element``.  It divides on the basis's packing and
-        step table, so a monomial any earlier call divided costs no new
-        product."""
+    def reduce(self, element: SparseElement) -> SparseElement:
+        """Normal form of ``element``, of this ideal's ring, under left
+        division by the basis.  It divides on the basis's packing and step
+        table, so a monomial any earlier call divided costs no new product."""
         if type(element) is not self._kind or element._ambient != self._ambient:
             _same_ring((element,), self._kind, self._ambient, "division")
         packed = (self._basis or self.groebner_basis()).packed
         if packed is None:
-            return (element, []) if track else element
-        return packed.read(element, track)
+            return element
+        return packed.read(element)
 
     def contains(self, element: SparseElement) -> bool:
         return self.reduce(element).is_zero()

@@ -18,9 +18,6 @@ class Poly(SparseElement):
 
     __slots__ = ()
 
-    def _term_product(self, m1: Monomial, m2: Monomial):
-        yield m1.mul(m2), 1
-
     def _left_terms(self, mono: Monomial, coeff: Scalar) -> Iterator[tuple[Monomial, Scalar]]:
         for m2, c2 in self._terms.items():
             yield mono.mul(m2), coeff * c2

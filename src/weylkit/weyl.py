@@ -39,26 +39,11 @@ class WeylElement(SparseElement):
 
     __slots__ = ()
 
-    def _term_product(self, m1: Monomial, m2: Monomial):
-        # (z^a d^b)(z^c d^e): push each d_i^{b_i} through z_i^{c_i}.  When no
-        # d_i of m1 meets a z_i of m2, nothing moves and the product is m1*m2.
-        if not any(map(mul, m1.dexp, m2.zexp)):
-            yield m1.mul(m2), 1
-            return
-        rows = map(_reorder_one_variable, m1.dexp, m2.zexp)
-        for choice in itertools.product(*rows):
-            coeff = 1
-            zexp = []
-            dexp = []
-            for (c, zp, dp), a, e in zip(choice, m1.zexp, m2.dexp):
-                coeff *= c
-                zexp.append(a + zp)
-                dexp.append(e + dp)
-            yield Monomial(tuple(zexp), tuple(dexp)), coeff
-
     def _left_terms(self, mono: Monomial, coeff: Scalar) -> Iterator[tuple[Monomial, Scalar]]:
+        """Terms of (coeff * mono) * self; a monomial may repeat and the
+        repeats may cancel, so callers accumulate."""
         if any(mono.dexp):
-            return super()._left_terms(mono, coeff)
+            return _reordered(mono, coeff, self._terms)
         # z^a (z^c d^e) = z^(a+c) d^e: with no d in the multiplier nothing
         # moves, and each term keeps its d exponents as they are.
         zexp = mono.zexp
@@ -90,6 +75,30 @@ class WeylElement(SparseElement):
 
     def __repr__(self) -> str:
         return f"WeylElement({self.ambient}, {self!s})"
+
+
+def _reordered(mono: Monomial, coeff: Scalar, terms) -> Iterator[tuple[Monomial, Scalar]]:
+    """``WeylElement._left_terms`` when the multiplier z^a d^b has a d:
+    (z^a d^b)(z^c d^e) pushes each d_i^{b_i} through z_i^{c_i}.  When no d_i
+    meets a z_i of the term, nothing moves and the product is the monomial
+    product; else each meeting variable contributes a row of
+    ``_reorder_one_variable``."""
+    zexp = mono.zexp
+    dexp = mono.dexp
+    for m2, c2 in terms.items():
+        c = coeff * c2
+        if not any(map(mul, dexp, m2.zexp)):
+            yield mono.mul(m2), c
+            continue
+        for choice in itertools.product(*map(_reorder_one_variable, dexp, m2.zexp)):
+            k = 1
+            zout = []
+            dout = []
+            for (factor, zp, dp), a, e in zip(choice, zexp, m2.dexp):
+                k *= factor
+                zout.append(a + zp)
+                dout.append(e + dp)
+            yield Monomial(tuple(zout), tuple(dout)), (c if k == 1 else c * k)
 
 
 def _packed_reordered(px, u: int, coeff: Scalar, terms, meets: int):
@@ -154,8 +163,8 @@ def partial_fourier(element: WeylElement, indices: AbstractSet[int]) -> WeylElem
             for side in (False, True)
         )
         sign = -1 if sum(b_on) % 2 else 1
-        products = element._term_product(Monomial(a_off, a_on), Monomial(b_on, b_off))
-        terms.extend((m, sign * coeff * c) for m, c in products)
+        right = element._make({Monomial(b_on, b_off): 1})
+        terms.extend(right._left_terms(Monomial(a_off, a_on), sign * coeff))
     return WeylElement(element.ambient, terms)
 
 

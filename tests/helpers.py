@@ -3,6 +3,8 @@
 The oracles deliberately avoid the engine's closed-form algorithms:
 
 * normal ordering is recomputed by one-swap rewriting on generator words,
+  and each ring's product method ``_left_terms`` is checked term by term
+  against it (letter counts for the commuting symbols),
 * Hilbert data is recomputed by brute-force counting of standard monomials
   and by the recursion on the largest generator; the latter's numerator,
   with its (1 - t) factors stripped, gives the dimension and multiplicity
@@ -11,7 +13,9 @@ The oracles deliberately avoid the engine's closed-form algorithms:
 * the action on polynomials is recomputed with a formal z-derivative and
   multiplication,
 * left division is recomputed by the textbook loop that rescans for the
-  leading term and rebuilds the element after every step,
+  leading term and rebuilds the element after every step; the package
+  returns normal forms only, so the division identity x - NF(x) in I is
+  asserted on this loop's own cofactors (``check_normal_form``),
 * division is recomputed on ``Monomial`` tuples, with a list-order divisor
   scan and a heap key of its own, each step's product streamed from
   ``_left_terms``, where the package divides on packed exponents,
@@ -121,6 +125,34 @@ def word_element(word: tuple[Letter, ...], ambient: int) -> WeylElement:
         factor = z_op(index, ambient) if kind == "z" else d_op(index, ambient)
         out = out * factor
     return out
+
+
+def monomial_word(mono: Monomial) -> tuple[Letter, ...]:
+    """The normally ordered word of ``mono``: its z letters, then its d letters."""
+    return tuple(
+        (kind, i + 1)
+        for kind, exps in (("z", mono.zexp), ("d", mono.dexp))
+        for i, e in enumerate(exps)
+        for _ in range(e)
+    )
+
+
+def oracle_left_product(mono: Monomial, coeff, element) -> dict[Monomial, Fraction]:
+    """(coeff * mono) * element from words, term by term of ``element``:
+    one-swap rewriting for operators, letter counts for the commuting
+    symbols of a ``Poly``."""
+    ambient = element.ambient
+    left = monomial_word(mono)
+    out: dict[Monomial, Fraction] = {}
+    for m2, c2 in element.terms.items():
+        word = left + monomial_word(m2)
+        if isinstance(element, WeylElement):
+            product = oracle_normal_form(word, ambient)
+        else:
+            product = {_word_monomial(word, ambient): 1}
+        for m, c in product.items():
+            out[m] = out.get(m, 0) + coeff * c2 * c
+    return {m: c for m, c in out.items() if c}
 
 
 def random_word(rng: random.Random, ambient: int, max_len: int) -> tuple[Letter, ...]:
@@ -366,6 +398,16 @@ def naive_reduce(element, basis):
             remainder = remainder + stray
             work = work - stray
     return remainder, cofactors
+
+
+def check_normal_form(remainder, element, basis) -> None:
+    """``remainder`` is ``naive_reduce``'s normal form of ``element``, and
+    element - remainder is the sum of the oracle's own cofactors times
+    ``basis``: the division identity, checked by code the package's
+    division does not share."""
+    normal_form, cofactors = naive_reduce(element, basis)
+    assert remainder == normal_form
+    assert sum((q * g for q, g in zip(cofactors, basis)), normal_form) == element
 
 
 def fixpoint_interreduce(basis):

@@ -102,3 +102,33 @@ def test_package_lines_fit_in_100_columns():
         if len(line) > 100
     ]
     assert long == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """No linter runs here, so ``ast`` does its one check: every name a
+    package module imports is read in that module or listed in its
+    ``__all__``."""
+    package = Path(weylkit.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and "__all__" in {
+                getattr(target, "id", None) for target in node.targets
+            }:
+                read.update(ast.literal_eval(node.value))
+        unused += [
+            f"{path.name}:{line} imports {name}"
+            for name, line in imported.items()
+            if name not in read
+        ]
+    assert unused == []

@@ -519,10 +519,11 @@ def test_unreadable_json_is_a_named_error(tmp_path, capsys, case):
 
 
 def test_legacy_keys_are_ignored(tmp_path, n2_report):
-    # Scenario files written before "sweep" and the chart fields no check read
-    # were dropped still carry those keys.
+    # Scenario files written before "sweep", "metadata" and the chart fields
+    # no check read were dropped still carry those keys.
     raw = json.loads(resources.files("weylkit").joinpath("data", "paper-n2.json").read_text())
     raw["sweep"] = {"l": [0, 1, 2, 3]}
+    raw["metadata"] = {"real_form_dimensions": {"h1R": 6, "h2R": 6, "h3R": 4}}
     raw["charts"]["O12c"].update(inequations=["z3", "z4"], expected_dimension=2)
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps(raw), encoding="utf-8")

@@ -1,6 +1,7 @@
 """Core operator arithmetic: normal ordering, degrees, symbols, transforms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
@@ -12,6 +13,7 @@ from helpers import (
     check_fourier_involution,
     check_ring_axioms,
     check_word_products,
+    oracle_left_product,
     oracle_normal_form,
     random_element,
     word_element,
@@ -25,7 +27,6 @@ from weylkit import (
 )
 from weylkit.poly import Poly, poly_z, poly_zeta
 from weylkit import weyl
-from weylkit.base import SparseElement
 from weylkit.weyl import _reorder_one_variable, d, z
 
 
@@ -79,12 +80,15 @@ def test_reorder_rows_are_cached_bounded_and_match_the_closed_form():
 
 @pytest.mark.parametrize("ambient", [1, 2, 3])
 def test_left_terms_sum_to_the_product(ambient):
+    # Each ring's one product method against the word oracle, term by term:
+    # operators by one-swap rewriting, symbols by counting letters.
     rng = random.Random(f"weylkit-left-terms:{ambient}")
     every_z = WeylElement.from_monomial(Monomial((1,) * ambient, (0,) * ambient))
     for _ in range(30):
-        g = random_element(rng, ambient, max_exp=3)
-        zexp = tuple(rng.randint(0, 3) for _ in range(ambient))
-        mono = Monomial(zexp, tuple(rng.randint(0, 3) for _ in range(ambient)))
+        # Exponents up to 2 keep the rewriting oracle's word count small.
+        g = random_element(rng, ambient, max_exp=2)
+        zexp = tuple(rng.randint(0, 2) for _ in range(ambient))
+        mono = Monomial(zexp, tuple(rng.randint(0, 2) for _ in range(ambient)))
         # Pinned multipliers: one with no d part (WeylElement's short path)
         # and one whose d part meets a z factor of every term of z1..zm * g.
         no_d = Monomial(zexp, (0,) * ambient)
@@ -95,11 +99,9 @@ def test_left_terms_sum_to_the_product(ambient):
                 element = kind(ambient, g1.terms)
                 for c1 in (coeff, rng.randint(-5, 5) or 1):
                     summed = kind(ambient, list(element._left_terms(m1, c1)))
-                    generic = kind(ambient, list(SparseElement._left_terms(element, m1, c1)))
-                    assert summed == generic == kind.from_monomial(m1, c1) * element
+                    assert dict(summed.terms) == oracle_left_product(m1, c1, element)
             for m2 in element.terms:
                 assert all(map(mul, meets_z.dexp, m2.zexp))
-                assert all(type(k) is int for _, k in element._term_product(mono, m2))
 
 
 def test_product_whose_repeated_terms_cancel():
@@ -127,27 +129,28 @@ def test_normalize_matches_oracle():
 
 
 def test_word_products_match_oracle_sample(monkeypatch):
-    # Both branches of the term product meet the oracle: the no-reorder fast
-    # path, and the reorder rows, seen through the rows it builds.
-    rows_built = []
-    reorder = weyl._reorder_one_variable
-    term_product = WeylElement._term_product
-    branches = {"fast": 0, "reorder": 0}
+    # Three branches of WeylElement._left_terms meet the oracle: a multiplier
+    # with no d (the calls that never reach _reordered), a d that meets no z
+    # of the term (a plain Monomial.mul), and the reorder rows.
+    calls = Counter()
 
-    def counted_rows(p, q):
-        rows_built.append((p, q))
-        return reorder(p, q)
+    def counted(name, function):
+        def observed(*args):
+            calls[name] += 1
+            return function(*args)
 
-    def observed_term_product(self, m1, m2):
-        before = len(rows_built)
-        terms = list(term_product(self, m1, m2))
-        branches["reorder" if len(rows_built) > before else "fast"] += 1
-        return iter(terms)
+        return observed
 
-    monkeypatch.setattr(weyl, "_reorder_one_variable", counted_rows)
-    monkeypatch.setattr(WeylElement, "_term_product", observed_term_product)
+    for owner, attribute, name in (
+        (WeylElement, "_left_terms", "products"),
+        (weyl, "_reordered", "with a d"),
+        (Monomial, "mul", "no meeting z"),
+        (weyl, "_reorder_one_variable", "reorder rows"),
+    ):
+        monkeypatch.setattr(owner, attribute, counted(name, getattr(owner, attribute)))
     assert check_word_products(SEEDS["words"], pairs=120) == 120
-    assert branches["fast"] > 0 and branches["reorder"] > 0, branches
+    assert calls["products"] > calls["with a d"] > 0, calls
+    assert calls["no meeting z"] > 0 and calls["reorder rows"] > 0, calls
 
 
 def test_ring_axioms_sample():
